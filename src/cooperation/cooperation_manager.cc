@@ -184,7 +184,13 @@ Status CooperationManager::PersistRelationships() {
 CoopRelationship* CooperationManager::FindRelationship(RelKind kind, DaId a,
                                                        DaId b) {
   for (CoopRelationship& rel : relationships_) {
-    if (rel.kind == kind && rel.active && rel.Connects(a, b)) return &rel;
+    if (rel.kind != kind || !rel.active) continue;
+    // Usage is directed (requirer → supporter): a mutual Require is two
+    // edges, each with its own features. Negotiation is symmetric —
+    // either party proposes along the one edge.
+    bool match = kind == RelKind::kUsage ? rel.from == a && rel.to == b
+                                         : rel.Connects(a, b);
+    if (match) return &rel;
   }
   return nullptr;
 }

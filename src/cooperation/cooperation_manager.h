@@ -328,7 +328,9 @@ class CooperationManager : public txn::ScopeAuthority {
   /// Persists one DA (and the relationship table) to the repository.
   Status PersistDa(const DesignActivity& da);
   Status PersistRelationships() REQUIRES(mu_);
-  /// Finds an active relationship of `kind` connecting a and b.
+  /// Finds the active relationship of `kind` from a to b: for kUsage
+  /// a is the requirer and b the supporter; for kNegotiation the order
+  /// does not matter.
   CoopRelationship* FindRelationship(RelKind kind, DaId a, DaId b)
       REQUIRES(mu_);
   /// Lock-table rebuild shared by Recover and ReestablishLocks.

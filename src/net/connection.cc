@@ -18,18 +18,35 @@ FramedConnection::FramedConnection(EventLoop* loop, int fd)
 FramedConnection::~FramedConnection() { Close(); }
 
 void FramedConnection::Start() {
-  loop_->RegisterFd(fd_, POLLIN, [this](short events) { HandleEvents(events); });
+  int fd;
+  {
+    MutexLock lock(&mu_);
+    fd = fd_;
+  }
+  loop_->RegisterFd(fd, POLLIN, [this](short events) { HandleEvents(events); });
 }
 
 void FramedConnection::Close() {
-  if (fd_ < 0) return;
-  loop_->UnregisterFd(fd_);
-  CloseFd(fd_);
-  fd_ = -1;
+  int fd;
+  {
+    MutexLock lock(&mu_);
+    fd = fd_;
+    fd_ = -1;
+    outbound_.clear();
+    outbound_offset_ = 0;
+  }
+  if (fd < 0) return;
+  loop_->UnregisterFd(fd);
+  CloseFd(fd);
+}
+
+bool FramedConnection::closed() const {
+  MutexLock lock(&mu_);
+  return fd_ < 0;
 }
 
 void FramedConnection::Fail(Status reason) {
-  if (fd_ < 0) return;
+  if (closed()) return;
   Close();
   if (on_closed_) {
     // The handler may destroy this connection; detach it first and
@@ -40,7 +57,12 @@ void FramedConnection::Fail(Status reason) {
   }
 }
 
-void FramedConnection::UpdateWatchedEvents() {
+void FramedConnection::WatchWritable() {
+  MutexLock lock(&mu_);
+  WatchWritableLocked();
+}
+
+void FramedConnection::WatchWritableLocked() {
   if (fd_ < 0) return;
   short events = POLLIN;
   if (outbound_.size() > outbound_offset_) events |= POLLOUT;
@@ -52,7 +74,7 @@ void FramedConnection::HandleEvents(short events) {
   // buffered bytes (including the peer's goodbye frame).
   if (events & (POLLIN | POLLERR | POLLHUP)) {
     HandleReadable();
-    if (fd_ < 0) return;
+    if (closed()) return;
   }
   if (events & POLLOUT) {
     HandleWritable();
@@ -60,9 +82,17 @@ void FramedConnection::HandleEvents(short events) {
 }
 
 void FramedConnection::HandleReadable() {
+  // Only this thread closes the fd, so the copy stays valid until a
+  // handler closes us — checked after every frame.
+  int fd;
+  {
+    MutexLock lock(&mu_);
+    fd = fd_;
+  }
+  if (fd < 0) return;
   char buf[16384];
   for (;;) {
-    ssize_t n = ::read(fd_, buf, sizeof(buf));
+    ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n > 0) {
       decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)));
       for (;;) {
@@ -76,7 +106,7 @@ void FramedConnection::HandleReadable() {
           peer_said_goodbye_ = true;
         }
         if (on_frame_) on_frame_(std::move(*frame));
-        if (fd_ < 0) return;  // handler closed us
+        if (closed()) return;  // handler closed us
       }
       continue;
     }
@@ -93,7 +123,7 @@ void FramedConnection::HandleReadable() {
   }
 }
 
-void FramedConnection::HandleWritable() {
+Status FramedConnection::FlushLocked() {
   while (outbound_.size() > outbound_offset_) {
     ssize_t n = ::send(fd_, outbound_.data() + outbound_offset_,
                        outbound_.size() - outbound_offset_, MSG_NOSIGNAL);
@@ -103,8 +133,7 @@ void FramedConnection::HandleWritable() {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    Fail(Status::Unavailable(std::string("write: ") + std::strerror(errno)));
-    return;
+    return Status::Unavailable(std::string("write: ") + std::strerror(errno));
   }
   if (outbound_offset_ == outbound_.size()) {
     outbound_.clear();
@@ -113,13 +142,33 @@ void FramedConnection::HandleWritable() {
     outbound_.erase(0, outbound_offset_);
     outbound_offset_ = 0;
   }
-  UpdateWatchedEvents();
+  return Status::OK();
 }
 
-void FramedConnection::SendFrame(FrameType type, std::string_view payload) {
-  if (fd_ < 0) return;
+void FramedConnection::HandleWritable() {
+  Status written;
+  {
+    MutexLock lock(&mu_);
+    if (fd_ < 0) return;
+    written = FlushLocked();
+    if (written.ok()) WatchWritableLocked();
+  }
+  if (!written.ok()) Fail(std::move(written));
+}
+
+bool FramedConnection::SendFrame(FrameType type, std::string_view payload) {
+  MutexLock lock(&mu_);
+  if (fd_ < 0) return false;
   AppendFrame(&outbound_, type, payload);
-  HandleWritable();
+  if (!FlushLocked().ok()) {
+    // The read side now sees EOF, so the loop reports the close.
+    ::shutdown(fd_, SHUT_RDWR);
+    return false;
+  }
+  if (outbound_.size() == outbound_offset_) return false;
+  if (!loop_->OnLoopThread()) return true;
+  WatchWritableLocked();
+  return false;
 }
 
 }  // namespace concord::net

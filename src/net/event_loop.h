@@ -13,12 +13,13 @@
 
 namespace concord::net {
 
-/// A small poll(2)-driven reactor. One thread calls Run(); everything
-/// the loop owns — fd registrations, timers, connection state hung off
-/// the callbacks — is touched only from that thread, which is what
-/// keeps the transport lock-free on the hot path. Other threads talk
-/// to the loop exclusively through Post()/Stop(), which enqueue under
-/// a mutex and wake the poller via a self-pipe.
+/// A small poll(2)-driven reactor. One thread calls Run(); the loop's
+/// own state — fd registrations, the poll mask of each fd, timers — is
+/// touched only from that thread. Other threads reach it through
+/// Post()/Stop(), which enqueue under a mutex and wake the poller via a
+/// self-pipe. The hot path needs neither: a caller writes its request
+/// straight to the socket (FramedConnection::SendFrame), and a server
+/// handler runs on the loop thread that read the request.
 ///
 /// Scale note: concordd planes are a handful of peers, not ten
 /// thousand; poll over a rebuilt pollfd vector is the right tool, and

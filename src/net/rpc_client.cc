@@ -21,8 +21,16 @@ RpcChannel::RpcChannel(uint64_t client_id, Address server, Options options)
 RpcChannel::~RpcChannel() { Shutdown(); }
 
 void RpcChannel::Shutdown() {
-  bool expected = false;
-  if (!shut_down_.compare_exchange_strong(expected, true)) return;
+  {
+    MutexLock lock(&mu_);
+    if (shut_down_) return;
+    shut_down_ = true;
+    for (auto& [id, call] : outstanding_) {
+      (void)id;
+      Fulfill(call, Status::Unavailable("rpc channel shut down"), "");
+    }
+    outstanding_.clear();
+  }
   loop_.Post([this] {
     if (reconnect_timer_ != 0) {
       loop_.CancelTimer(reconnect_timer_);
@@ -33,15 +41,11 @@ void RpcChannel::Shutdown() {
       CloseFd(connect_fd_);
       connect_fd_ = -1;
     }
-    if (conn_ && !conn_->closed()) {
+    MutexLock lock(&mu_);
+    if (conn_ != nullptr) {
       conn_->SendFrame(FrameType::kGoodbye, "bye");
       conn_->Close();
     }
-    for (auto& [id, call] : outstanding_) {
-      (void)id;
-      Fulfill(call, Status::Unavailable("rpc channel shut down"), "");
-    }
-    outstanding_.clear();
   });
   loop_.Stop();
   loop_thread_.join();
@@ -71,26 +75,27 @@ void RpcChannel::Fulfill(const std::shared_ptr<PendingCall>& call,
 
 Result<std::string> RpcChannel::Call(const std::string& method,
                                      const std::string& payload) {
-  if (shut_down_.load(std::memory_order_acquire)) {
-    return Status::Unavailable("rpc channel shut down");
-  }
-  uint64_t call_id = next_call_id_.fetch_add(1, std::memory_order_relaxed);
-  calls_.fetch_add(1, std::memory_order_relaxed);
   auto call = std::make_shared<PendingCall>();
   call->method = method;
   call->payload = payload;
-  loop_.Post([this, call_id, call] {
-    if (shut_down_.load(std::memory_order_acquire)) {
-      Fulfill(call, Status::Unavailable("rpc channel shut down"), "");
-      return;
-    }
+  uint64_t call_id;
+  {
+    MutexLock lock(&mu_);
+    if (shut_down_) return Status::Unavailable("rpc channel shut down");
+    call_id = next_call_id_++;
     outstanding_[call_id] = call;
     if (state_ == LinkState::kConnected) {
       SendRequest(call_id, *call);
-    } else {
-      EnsureConnected();
+    } else if (state_ == LinkState::kDisconnected) {
+      // Connecting is the loop's job; the call goes out with the
+      // resend once the link is up.
+      loop_.Post([this] {
+        MutexLock lock(&mu_);
+        EnsureConnected();
+      });
     }
-  });
+  }
+  calls_.fetch_add(1, std::memory_order_relaxed);
 
   bool done;
   {
@@ -102,7 +107,10 @@ Result<std::string> RpcChannel::Call(const std::string& method,
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     // Abandon: once erased, this id is never retried, so it drops
     // below acked_below and the server may forget it.
-    loop_.Post([this, call_id] { outstanding_.erase(call_id); });
+    {
+      MutexLock lock(&mu_);
+      outstanding_.erase(call_id);
+    }
     return Status::Unavailable("rpc call timed out after " +
                                std::to_string(options_.call_timeout_ms) +
                                "ms (in doubt)");
@@ -116,9 +124,7 @@ uint64_t RpcChannel::AckedBelow() const {
   // Call ids are monotonic; everything below the lowest id still
   // outstanding is complete (replied or abandoned) and will never be
   // retried by this channel.
-  if (outstanding_.empty()) {
-    return next_call_id_.load(std::memory_order_relaxed);
-  }
+  if (outstanding_.empty()) return next_call_id_;
   return outstanding_.begin()->first;
 }
 
@@ -129,12 +135,19 @@ void RpcChannel::SendRequest(uint64_t call_id, const PendingCall& call) {
   request.acked_below = AckedBelow();
   request.method = call.method;
   request.payload = call.payload;
-  conn_->SendFrame(FrameType::kRequest, EncodeRequestEnvelope(request));
+  if (conn_->SendFrame(FrameType::kRequest, EncodeRequestEnvelope(request))) {
+    // Bytes are left over and only the loop may watch for POLLOUT. The
+    // task looks the connection up again: this one may be gone by then.
+    loop_.Post([this] {
+      MutexLock lock(&mu_);
+      if (conn_ != nullptr) conn_->WatchWritable();
+    });
+  }
 }
 
 void RpcChannel::EnsureConnected() {
   if (state_ != LinkState::kDisconnected || reconnect_timer_ != 0 ||
-      shut_down_.load(std::memory_order_acquire)) {
+      shut_down_) {
     return;
   }
   auto fd = StartConnect(server_);
@@ -145,15 +158,15 @@ void RpcChannel::EnsureConnected() {
   }
   state_ = LinkState::kConnecting;
   connect_fd_ = *fd;
-  loop_.RegisterFd(connect_fd_, POLLOUT, [this, fd = *fd](short events) {
-    OnConnectResult(fd, events);
-  });
+  loop_.RegisterFd(connect_fd_, POLLOUT,
+                   [this, fd = *fd](short) { OnConnectResult(fd); });
 }
 
-void RpcChannel::OnConnectResult(int fd, short /*events*/) {
+void RpcChannel::OnConnectResult(int fd) {
   loop_.UnregisterFd(fd);
   connect_fd_ = -1;
   Status st = FinishConnect(fd);
+  MutexLock lock(&mu_);
   if (!st.ok()) {
     CloseFd(fd);
     connect_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -174,35 +187,33 @@ void RpcChannel::OnConnectResult(int fd, short /*events*/) {
   conn_->Start();
   // Re-send every unreplied call, lowest id first. The server's dedup
   // table answers the ones it already executed.
-  size_t resent = 0;
-  for (const auto& [id, call] : outstanding_) {
-    SendRequest(id, *call);
-    ++resent;
-    if (conn_ == nullptr || conn_->closed()) break;
-  }
-  if (resent > 0 && reconnects_.load(std::memory_order_relaxed) > 0) {
-    retries_.fetch_add(resent, std::memory_order_relaxed);
+  for (const auto& [id, call] : outstanding_) SendRequest(id, *call);
+  if (!outstanding_.empty() && reconnects_.load(std::memory_order_relaxed) > 0) {
+    retries_.fetch_add(outstanding_.size(), std::memory_order_relaxed);
   }
 }
 
 void RpcChannel::ScheduleReconnect() {
-  if (shut_down_.load(std::memory_order_acquire) || reconnect_timer_ != 0) {
-    return;
-  }
+  if (shut_down_ || reconnect_timer_ != 0) return;
   if (outstanding_.empty()) return;  // reconnect lazily on the next call
   int64_t delay = backoff_ms_;
   backoff_ms_ = std::min(backoff_ms_ * 2, options_.connect_backoff_max_ms);
   reconnect_timer_ = loop_.AddTimer(delay, [this] {
     reconnect_timer_ = 0;
+    MutexLock lock(&mu_);
     EnsureConnected();
   });
 }
 
 void RpcChannel::OnConnectionClosed(Status reason) {
+  MutexLock lock(&mu_);
+  ConnectionLost(std::move(reason));
+}
+
+void RpcChannel::ConnectionLost(Status reason) {
   state_ = LinkState::kDisconnected;
   // Runs on the connection's own stack — defer the destruction.
   dead_conns_.push_back(std::move(conn_));
-  conn_ = nullptr;
   loop_.Post([this] { dead_conns_.clear(); });
   if (!reason.ok()) {
     CONCORD_DEBUG("net", "connection to " << server_.ToString() << " lost: "
@@ -216,22 +227,22 @@ void RpcChannel::OnFrame(Frame frame) {
     // The server is going away; the close path handles reconnects.
     return;
   }
+  MutexLock lock(&mu_);
   if (frame.type != FrameType::kReply) {
     conn_->Close();
-    OnConnectionClosed(Status::ProtocolViolation("unexpected frame type"));
+    ConnectionLost(Status::ProtocolViolation("unexpected frame type"));
     return;
   }
   auto reply = DecodeReplyEnvelope(frame.payload);
   if (!reply.ok()) {
     conn_->Close();
-    OnConnectionClosed(reply.status());
+    ConnectionLost(reply.status());
     return;
   }
   auto it = outstanding_.find(reply->call_id);
   if (it == outstanding_.end()) return;  // abandoned (timed out) call
-  auto call = it->second;
+  Fulfill(it->second, std::move(reply->status), std::move(reply->payload));
   outstanding_.erase(it);
-  Fulfill(call, std::move(reply->status), std::move(reply->payload));
 }
 
 }  // namespace concord::net

@@ -30,8 +30,11 @@ struct RpcChannelStats {
 /// Client end of the socket RPC transport: one channel per server
 /// address, carrying synchronous Call()s from any number of threads.
 ///
-/// The channel owns a private event loop. Connection management is
-/// fully automatic: the first call connects lazily; a broken connection
+/// Each Call() records its pending call and writes the request frame on
+/// the calling thread, under the channel mutex; a partial write leaves
+/// the rest to the loop's POLLOUT handling. The channel's private event
+/// loop reads the replies and hands each to its waiting caller, and it
+/// does all connection management, which is fully automatic: the first call connects lazily; a broken connection
 /// (peer death, network error, server kGoodbye) moves every unreplied
 /// call back to the resend queue and reconnects with exponential
 /// backoff (connect_backoff_initial_ms doubling to _max_ms). Because
@@ -78,8 +81,8 @@ class RpcChannel {
  private:
   enum class LinkState { kDisconnected, kConnecting, kConnected };
 
-  /// One in-flight call, shared between the calling thread (waits) and
-  /// the loop thread (fulfills).
+  /// One in-flight call, shared between the calling thread (sends,
+  /// waits) and the loop thread (resends, fulfills).
   struct PendingCall {
     std::string method;
     std::string payload;
@@ -90,14 +93,16 @@ class RpcChannel {
     std::string reply GUARDED_BY(mu);
   };
 
-  // Loop-thread-only.
-  void EnsureConnected();
-  void OnConnectResult(int fd, short events);
-  void ScheduleReconnect();
-  void OnConnectionClosed(Status reason);
-  void OnFrame(Frame frame);
-  void SendRequest(uint64_t call_id, const PendingCall& call);
-  uint64_t AckedBelow() const;
+  // Loop thread.
+  void EnsureConnected() REQUIRES(mu_);
+  void OnConnectResult(int fd) EXCLUDES(mu_);
+  void ScheduleReconnect() REQUIRES(mu_);
+  void OnConnectionClosed(Status reason) EXCLUDES(mu_);
+  void ConnectionLost(Status reason) REQUIRES(mu_);
+  void OnFrame(Frame frame) EXCLUDES(mu_);
+  // Any thread.
+  void SendRequest(uint64_t call_id, const PendingCall& call) REQUIRES(mu_);
+  uint64_t AckedBelow() const REQUIRES(mu_);
   static void Fulfill(const std::shared_ptr<PendingCall>& call, Status status,
                       std::string reply);
 
@@ -107,16 +112,23 @@ class RpcChannel {
 
   EventLoop loop_;
   std::thread loop_thread_;
-  std::atomic<uint64_t> next_call_id_{1};
-  std::atomic<bool> shut_down_{false};
 
-  // Loop-thread-only state.
-  LinkState state_ = LinkState::kDisconnected;
-  int connect_fd_ = -1;
-  std::unique_ptr<FramedConnection> conn_;
-  std::vector<std::unique_ptr<FramedConnection>> dead_conns_;
+  /// Guards the link and the calls on it. Callers register and send
+  /// under it; the loop thread connects, resends and completes calls
+  /// under it. Taken before a FramedConnection's and a PendingCall's
+  /// own mutex.
+  mutable Mutex mu_;
+  bool shut_down_ GUARDED_BY(mu_) = false;
+  uint64_t next_call_id_ GUARDED_BY(mu_) = 1;
+  LinkState state_ GUARDED_BY(mu_) = LinkState::kDisconnected;
+  std::unique_ptr<FramedConnection> conn_ GUARDED_BY(mu_);
   /// Ordered: resend after reconnect walks ids low → high.
-  std::map<uint64_t, std::shared_ptr<PendingCall>> outstanding_;
+  std::map<uint64_t, std::shared_ptr<PendingCall>> outstanding_
+      GUARDED_BY(mu_);
+
+  // Loop-thread-only.
+  int connect_fd_ = -1;
+  std::vector<std::unique_ptr<FramedConnection>> dead_conns_;
   int64_t backoff_ms_ = 0;
   EventLoop::TimerId reconnect_timer_ = 0;
   bool connected_once_ = false;

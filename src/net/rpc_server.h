@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -35,13 +34,18 @@ struct RpcServerStats {
 /// address, decodes request envelopes, and executes registered method
 /// handlers with at-most-once semantics per (client_id, call_id).
 ///
-/// Threading: one event-loop thread owns all sockets and the in-flight
-/// bookkeeping; a small worker pool executes handlers (which may be
-/// slow — they run full transaction batches) so the loop never blocks.
-/// Completion hops back to the loop thread via Post to send the reply
-/// and record it in the shared DedupCache. A retry arriving while the
-/// original execution is still running attaches to that execution
-/// instead of re-executing.
+/// Threading: run to completion. The server runs `worker_threads`
+/// event-loop threads, and loop 0 also owns the listener, which hands
+/// each accepted connection to one loop (round robin). That loop reads
+/// the connection's requests, checks the shared DedupCache, runs the
+/// handler and writes the reply, so a request never changes thread. A
+/// handler that blocks holds up the other connections of its loop (on
+/// loop 0, new connections too), never those of another loop.
+///
+/// The in-flight table is shared by all loops under a mutex: a retry
+/// that arrives on another connection while the call is still running
+/// attaches to that execution instead of re-executing, and the reply
+/// is posted to the loop of each waiting connection.
 ///
 /// At-most-once holds per server incarnation: the dedup table is in
 /// memory, so a kill -9 erases it and a retried call from before the
@@ -53,6 +57,8 @@ class RpcServer {
   using Handler = std::function<Result<std::string>(const std::string&)>;
 
   struct Options {
+    /// Event-loop threads, each running the handlers of its own
+    /// connections (at least one).
     int worker_threads = 2;
     /// Per-client cached-reply bound (rpc::DedupCache).
     size_t dedup_capacity_per_peer = 1024;
@@ -68,11 +74,12 @@ class RpcServer {
   /// Register before Start(); the method table is immutable afterwards.
   void RegisterMethod(std::string method, Handler handler);
 
-  /// Binds, listens, and spins up the loop + worker threads.
+  /// Binds, listens, and spins up the loop threads.
   Status Start();
 
-  /// Graceful: sends kGoodbye on every open connection, stops
-  /// accepting, drains workers, joins all threads. Idempotent.
+  /// Graceful: stops accepting, lets each loop finish the handler it
+  /// is running, sends kGoodbye on every open connection and joins the
+  /// loop threads. Idempotent.
   void Shutdown();
 
   /// Valid after Start(); ephemeral TCP ports are resolved here.
@@ -82,24 +89,28 @@ class RpcServer {
   const rpc::DedupCache& dedup() const { return dedup_; }
 
  private:
-  struct WorkItem {
-    uint64_t client_id = 0;
-    uint64_t call_id = 0;
-    uint64_t conn_id = 0;
-    std::string method;
-    std::string payload;
+  /// One event-loop thread and the connections handed to it.
+  struct Loop {
+    EventLoop loop;
+    std::thread thread;
+    /// Touched only on `thread` (and after it is joined).
+    std::unordered_map<uint64_t, std::unique_ptr<FramedConnection>> conns;
   };
 
-  // Loop-thread-only.
-  void AcceptPending();
-  void OnFrame(uint64_t conn_id, Frame frame);
-  void OnConnectionClosed(uint64_t conn_id);
-  void SendReply(uint64_t conn_id, uint64_t call_id, const Status& status,
-                 const std::string& payload);
-  void CompleteCall(uint64_t client_id, uint64_t call_id,
-                    const Status& status, const std::string& payload);
+  Loop& LoopOf(uint64_t conn_id) {
+    return *loops_[conn_id % loops_.size()];
+  }
 
-  void WorkerMain();
+  // Each runs on the thread of the loop named (loop 0 for the accept).
+  void AcceptPending();
+  void Adopt(Loop& loop, uint64_t conn_id, int fd);
+  void OnFrame(Loop& loop, uint64_t conn_id, Frame frame);
+  void Execute(Loop& loop, uint64_t client_id, uint64_t call_id,
+               const std::string& method, const std::string& payload);
+  void SendReply(Loop& loop, uint64_t conn_id, const std::string& encoded);
+  /// Closes the connection; destruction waits one loop iteration,
+  /// since this runs on the connection's own stack.
+  void Drop(Loop& loop, uint64_t conn_id);
 
   const Address address_;
   const Options options_;
@@ -108,23 +119,18 @@ class RpcServer {
   bool started_ = false;
   bool shut_down_ = false;
 
-  EventLoop loop_;
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  // Owned by the loop thread after Start().
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<FramedConnection>> conns_;
-  /// (client, call) → connections waiting on the running execution.
-  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> in_flight_;
+  std::vector<std::unique_ptr<Loop>> loops_;
+  uint64_t next_conn_id_ = 1;  // loop 0 only
   std::unordered_map<std::string, Handler> methods_;
 
   rpc::DedupCache dedup_;
 
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<WorkItem> queue_ GUARDED_BY(queue_mu_);
-  bool stopping_ GUARDED_BY(queue_mu_) = false;
+  /// Taken before the DedupCache's own mutex: a call is looked up in,
+  /// and completed into, both tables under it.
+  Mutex in_flight_mu_;
+  /// (client, call) → connections waiting on the running execution.
+  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> in_flight_
+      GUARDED_BY(in_flight_mu_);
 
   std::atomic<uint64_t> requests_received_{0};
   std::atomic<uint64_t> requests_executed_{0};

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cooperation/cooperation_manager.h"
 #include "cooperation/persistence.h"
@@ -426,6 +430,48 @@ TEST_F(UsageTest, CancellationWithdrawsPropagatedDovs) {
   ASSERT_TRUE(cm_.TerminateSubDa(top_, supporter_).ok());
   EXPECT_FALSE(cm_.InScope(requirer_, dov));
   EXPECT_EQ(EventCount(requirer_, "Withdrawal"), 1);
+}
+
+TEST_F(CmTest, MutualRequireKeepsTwoDirectedEdges) {
+  // Regression: Require(b, a) after Require(a, b) used to find the a→b
+  // edge (matched without direction), merge its features into it and
+  // never create b→a, so a's propagations never reached b.
+  DesignSpecification spec_a;
+  spec_a.Add(Feature::AtMost("a_area", "area", 50));
+  DesignSpecification spec_b;
+  spec_b.Add(Feature::AtMost("b_area", "area", 100));
+  DaId top = Top();
+  DaId a = Sub(top, spec_a);
+  DaId b = Sub(top, spec_b);
+  ASSERT_TRUE(cm_.Require(a, b, {"b_area"}).ok());
+  ASSERT_TRUE(cm_.Require(b, a, {"a_area"}).ok());
+
+  std::map<std::pair<DaId, DaId>, std::vector<std::string>> usage;
+  for (const auto& rel : cm_.RelationshipsOf(a)) {
+    if (rel.kind == RelKind::kUsage) usage[{rel.from, rel.to}] = rel.features;
+  }
+  ASSERT_EQ(usage.size(), 2u);
+  EXPECT_EQ(usage[std::make_pair(a, b)], std::vector<std::string>{"b_area"});
+  EXPECT_EQ(usage[std::make_pair(b, a)], std::vector<std::string>{"a_area"});
+
+  // Grants flow both ways, each judged by its own edge's features.
+  DovId from_b = MintDov(b, 80);  // meets b_area, not a_area
+  DovId from_a = MintDov(a, 40);  // meets a_area
+  DovId big_a = MintDov(a, 70);   // misses a_area
+  ASSERT_TRUE(cm_.Propagate(b, from_b).ok());
+  ASSERT_TRUE(cm_.Propagate(a, from_a).ok());
+  ASSERT_TRUE(cm_.Propagate(a, big_a).ok());
+  EXPECT_TRUE(cm_.InScope(a, from_b));
+  EXPECT_TRUE(cm_.InScope(b, from_a));
+  EXPECT_FALSE(cm_.InScope(b, big_a));
+
+  // A repeated Require accumulates on its own edge only.
+  ASSERT_TRUE(cm_.Require(a, b, {"b_area"}).ok());
+  size_t usage_edges = 0;
+  for (const auto& rel : cm_.RelationshipsOf(a)) {
+    if (rel.kind == RelKind::kUsage) ++usage_edges;
+  }
+  EXPECT_EQ(usage_edges, 2u);
 }
 
 // --- Negotiation ---------------------------------------------------------------

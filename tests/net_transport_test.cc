@@ -2,7 +2,9 @@
 // fragmentation the stream can produce, envelope round trips, the
 // bounded at-most-once dedup cache, and live loopback RPC over
 // Unix-domain and TCP sockets — including server restart, reconnect
-// backoff, and the at-most-once-across-eviction regression.
+// backoff, the at-most-once-across-eviction regression, a retry that
+// attaches to a call running on another loop, Shutdown racing callers,
+// and loop isolation.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,7 +14,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -397,6 +401,72 @@ TEST(LoopbackRpc, ConnectsLazilyAndRidesOutSlowServerStart) {
   channel.Shutdown();
 }
 
+/// Speaks the wire protocol directly, to control call ids.
+class RawPeer {
+ public:
+  explicit RawPeer(const Address& address) {
+    auto connecting = StartConnect(address);
+    EXPECT_TRUE(connecting.ok()) << connecting.status().ToString();
+    if (!connecting.ok()) return;
+    fd_ = *connecting;
+    for (int spin = 0; spin < 1000; ++spin) {
+      if (FinishConnect(fd_).ok()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ~RawPeer() {
+    if (fd_ >= 0) CloseFd(fd_);
+  }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  void Send(const RequestEnvelope& request) {
+    std::string wire;
+    AppendFrame(&wire, FrameType::kRequest, EncodeRequestEnvelope(request));
+    EXPECT_EQ(write(fd_, wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+  }
+
+  /// The next reply, or nullopt after `timeout_ms` or a closed stream.
+  std::optional<ReplyEnvelope> NextReply(int timeout_ms = 5000) {
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(timeout_ms);
+    char buffer[4096];
+    for (;;) {
+      auto frame = decoder_.Next();
+      if (frame.ok()) {
+        auto reply = DecodeReplyEnvelope(frame->payload);
+        if (!reply.ok()) return std::nullopt;
+        return *reply;
+      }
+      ssize_t n = read(fd_, buffer, sizeof(buffer));
+      if (n > 0) {
+        decoder_.Feed(std::string_view(buffer, static_cast<size_t>(n)));
+        continue;
+      }
+      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK) ||
+          std::chrono::steady_clock::now() > deadline) {
+        return std::nullopt;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  FrameDecoder decoder_;
+};
+
+/// Polls `done` for up to five seconds.
+template <typename Predicate>
+bool Eventually(Predicate done) {
+  for (int spin = 0; spin < 5000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
 TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
   // Two raw requests with the SAME (client, call) id: the handler must
   // run once, the second reply must come from the server's dedup cache.
@@ -409,18 +479,6 @@ TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
                         });
   ASSERT_TRUE(server.Start().ok());
 
-  // Speak the wire protocol directly to control call ids.
-  int fd = -1;
-  {
-    auto connecting = StartConnect(server.bound_address());
-    ASSERT_TRUE(connecting.ok());
-    fd = *connecting;
-    // Blocking mode keeps this test sequential and simple.
-    for (int spin = 0; spin < 1000; ++spin) {
-      if (FinishConnect(fd).ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
   RequestEnvelope request;
   request.client_id = 77;
   request.call_id = 5;
@@ -428,38 +486,159 @@ TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
   request.payload = "x";
   // Send the request, await its reply, then send the IDENTICAL request
   // again — the retry-after-reply shape a reconnecting client produces.
-  FrameDecoder decoder;
+  RawPeer peer(server.bound_address());
   std::vector<std::string> replies;
-  char buffer[4096];
   for (int attempt = 0; attempt < 2; ++attempt) {
-    std::string wire;
-    AppendFrame(&wire, FrameType::kRequest, EncodeRequestEnvelope(request));
-    ASSERT_EQ(write(fd, wire.data(), wire.size()),
-              static_cast<ssize_t>(wire.size()));
-    size_t want = replies.size() + 1;
-    while (replies.size() < want) {
-      ssize_t n = read(fd, buffer, sizeof(buffer));
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      ASSERT_GT(n, 0);
-      decoder.Feed(std::string_view(buffer, static_cast<size_t>(n)));
-      while (true) {
-        auto frame = decoder.Next();
-        if (!frame.ok()) break;
-        auto reply = DecodeReplyEnvelope(frame->payload);
-        ASSERT_TRUE(reply.ok());
-        replies.push_back(reply->payload);
-      }
-    }
+    peer.Send(request);
+    auto reply = peer.NextReply();
+    ASSERT_TRUE(reply.has_value());
+    replies.push_back(reply->payload);
   }
-  CloseFd(fd);
   EXPECT_EQ(executed.load(), 1);
   EXPECT_EQ(replies[0], "1");
   EXPECT_EQ(replies[1], "1");  // cached, not re-executed
   EXPECT_GE(server.stats().dedup_hits + server.stats().duplicate_in_flight,
             1u);
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, RetryOnSecondConnectionAttachesToRunningCall) {
+  // A retry of a call whose handler is still running arrives on a
+  // different connection, served by a different loop: it must attach
+  // to the running execution, and both connections get its one reply.
+  Address address = Address::Unix(TestSocketPath("attach"));
+  RpcServer::Options options;
+  options.worker_threads = 2;
+  RpcServer server(address, options);
+  std::atomic<int> executed{0};
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  server.RegisterMethod("test/slow",
+                        [&](const std::string&) -> Result<std::string> {
+                          int run = ++executed;
+                          latch.wait();
+                          return "run " + std::to_string(run);
+                        });
+  ASSERT_TRUE(server.Start().ok());
+
+  RequestEnvelope request;
+  request.client_id = 77;
+  request.call_id = 5;
+  request.method = "test/slow";
+  request.payload = "x";
+  // Connections go to the loops round robin, so these two consecutive
+  // ones are read by different loops.
+  RawPeer first(address);
+  first.Send(request);
+  bool started = Eventually([&] { return executed.load() == 1; });
+  RawPeer second(address);
+  second.Send(request);
+  bool attached =
+      Eventually([&] { return server.stats().duplicate_in_flight == 1; });
+  release.set_value();
+
+  EXPECT_TRUE(started);
+  EXPECT_TRUE(attached);
+  auto first_reply = first.NextReply();
+  auto second_reply = second.NextReply();
+  ASSERT_TRUE(first_reply.has_value());
+  ASSERT_TRUE(second_reply.has_value());
+  EXPECT_EQ(first_reply->call_id, 5u);
+  EXPECT_EQ(first_reply->payload, "run 1");
+  EXPECT_EQ(EncodeReplyEnvelope(*second_reply),
+            EncodeReplyEnvelope(*first_reply));
+  EXPECT_EQ(executed.load(), 1);
+  EXPECT_EQ(server.stats().requests_executed, 1u);
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, ShutdownRacingCallersNeverWaitsOutTheDeadline) {
+  // Callers register and send on their own threads, so a Shutdown can
+  // land between any two of their steps. Each call must then end OK or
+  // kUnavailable at once, never by waiting out its deadline.
+  Address address = Address::Unix(TestSocketPath("shutdown_race"));
+  RpcServer server(address);
+  server.RegisterMethod("test/echo",
+                        [](const std::string& request)
+                            -> Result<std::string> { return request; });
+  ASSERT_TRUE(server.Start().ok());
+  RpcChannel::Options options;
+  options.call_timeout_ms = 30000;
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 10; ++round) {
+    RpcChannel channel(/*client_id=*/1 + round, address, options);
+    std::atomic<int> bad_status{0};
+    std::atomic<int64_t> slowest_ms{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kThreads; ++t) {
+      callers.emplace_back([&] {
+        for (;;) {
+          auto start = std::chrono::steady_clock::now();
+          auto reply = channel.Call("test/echo", "x");
+          int64_t took = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+          int64_t seen = slowest_ms.load();
+          while (took > seen && !slowest_ms.compare_exchange_weak(seen, took)) {
+          }
+          if (reply.ok()) continue;
+          if (!reply.status().IsUnavailable()) ++bad_status;
+          return;
+        }
+      });
+    }
+    // Round 0 shuts down before the first connect completes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(round % 5));
+    channel.Shutdown();
+    for (auto& caller : callers) caller.join();
+    EXPECT_EQ(bad_status.load(), 0) << "round " << round;
+    EXPECT_LT(slowest_ms.load(), 5000) << "round " << round;
+  }
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, BlockedHandlerStallsOnlyItsOwnLoop) {
+  Address address = Address::Unix(TestSocketPath("isolation"));
+  RpcServer::Options options;
+  options.worker_threads = 2;
+  RpcServer server(address, options);
+  std::atomic<bool> blocked{false};
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  server.RegisterMethod("test/block",
+                        [&](const std::string&) -> Result<std::string> {
+                          blocked = true;
+                          latch.wait();
+                          return std::string("unblocked");
+                        });
+  server.RegisterMethod("test/echo",
+                        [](const std::string& request)
+                            -> Result<std::string> { return request; });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcChannel::Options channel_options;
+  channel_options.call_timeout_ms = 3000;
+  RpcChannel blocking(/*client_id=*/1, address, channel_options);
+  RpcChannel other(/*client_id=*/2, address, channel_options);
+  // Connect both first: two connections, so two different loops.
+  ASSERT_TRUE(blocking.Call("test/echo", "a").ok());
+  ASSERT_TRUE(other.Call("test/echo", "b").ok());
+
+  Result<std::string> blocked_reply = Status::Unavailable("not run");
+  std::thread blocker(
+      [&] { blocked_reply = blocking.Call("test/block", "x"); });
+  bool started = Eventually([&] { return blocked.load(); });
+  auto reply = other.Call("test/echo", "while blocked");
+  release.set_value();
+  blocker.join();
+
+  EXPECT_TRUE(started);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(*reply, "while blocked");
+  ASSERT_TRUE(blocked_reply.ok()) << blocked_reply.status().ToString();
+  EXPECT_EQ(*blocked_reply, "unblocked");
+  blocking.Shutdown();
+  other.Shutdown();
   server.Shutdown();
 }
 

@@ -95,10 +95,14 @@ std::set<int64_t> ParseValues(const std::vector<std::string>& lines,
 }
 
 /// Values visible in shard `home`'s repository for `da`, via the
-/// admin/dump_da endpoint ("<dov> <value>" lines).
+/// admin/dump_da endpoint ("<dov> <value>" lines). Calls to one server
+/// incarnation need distinct `client_id`s: each client process numbers
+/// its calls from 1, and the server answers a repeated (client, call)
+/// from its at-most-once table.
 std::set<int64_t> DumpValues(const std::vector<std::string>& servers,
-                             uint64_t da, int home) {
-  std::vector<std::string> args = {"--client-id=99", "--mode=dump",
+                             uint64_t da, int home, uint64_t client_id = 99) {
+  std::vector<std::string> args = {"--client-id=" + std::to_string(client_id),
+                                   "--mode=dump",
                                    "--da=" + std::to_string(da),
                                    "--home=" + std::to_string(home)};
   for (const std::string& server : servers) args.push_back("--server=" + server);
@@ -115,11 +119,12 @@ std::set<int64_t> DumpValues(const std::vector<std::string>& servers,
   return out;
 }
 
-/// Writes "<dov> <value> <da>" expect lines and runs --mode=verify.
+/// Writes "<dov> <value> <da>" expect lines and runs --mode=verify
+/// (`client_id` as for DumpValues).
 void VerifyCommitted(
     const PlaneDirs& dirs, const std::vector<std::string>& servers,
     const std::vector<std::pair<uint64_t, int64_t>>& committed,
-    const std::vector<uint64_t>& das) {
+    const std::vector<uint64_t>& das, uint64_t client_id = 98) {
   std::string expect_path = dirs.root + "/expect.txt";
   std::ofstream expect(expect_path);
   ASSERT_TRUE(expect.is_open());
@@ -128,7 +133,8 @@ void VerifyCommitted(
            << das[i] << "\n";
   }
   expect.close();
-  std::vector<std::string> args = {"--client-id=98", "--mode=verify",
+  std::vector<std::string> args = {"--client-id=" + std::to_string(client_id),
+                                   "--mode=verify",
                                    "--expect=" + expect_path};
   for (const std::string& server : servers) args.push_back("--server=" + server);
   std::vector<std::string> lines;
@@ -272,6 +278,43 @@ TEST(ProcessCrash, AbortedCheckinsStayInvisibleAcrossRestart) {
   server.KillNine();
   server = StartServer(dirs, 0);
   EXPECT_TRUE(DumpValues({dirs.Addr(0)}, 5, 0).empty());
+  server.Terminate();
+}
+
+TEST(ProcessCrash, TwoChurnClientsShareOneServer) {
+  // Regression: every concord_client used to take workstation NodeId 1,
+  // so a second client's DOP ids collided with the first's and its
+  // BeginDop failed "already exists". The NodeId now comes from
+  // --client-id.
+  PlaneDirs dirs = MakePlaneDirs();
+  ChildProcess server = StartServer(dirs, 0);
+  constexpr int kOps = 25;
+  std::vector<ChildProcess> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.push_back(ChildProcess::Spawn(
+        CONCORD_CLIENT_BINARY,
+        {"--client-id=" + std::to_string(4 + c), "--server=" + dirs.Addr(0),
+         "--mode=churn", "--da=" + std::to_string(6 + c), "--home=0",
+         "--ops=" + std::to_string(kOps),
+         "--value-base=" + std::to_string(3000 + 1000 * c),
+         "--timeout-ms=5000"}));
+  }
+  for (int c = 0; c < 2; ++c) {
+    ChildProcess& client = clients[static_cast<size_t>(c)];
+    ASSERT_EQ(client.WaitExit(60000), 0);
+    std::string transcript;
+    for (const std::string& line : client.lines()) transcript += line + "\n";
+    auto committed = ParseCommitted(client.lines());
+    ASSERT_EQ(committed.size(), static_cast<size_t>(kOps)) << transcript;
+    uint64_t da = 6 + static_cast<uint64_t>(c);
+    VerifyCommitted(dirs, {dirs.Addr(0)}, committed,
+                    std::vector<uint64_t>(committed.size(), da),
+                    /*client_id=*/90 + 2 * da);
+    std::set<int64_t> acked;
+    for (auto [dov, value] : committed) acked.insert(value);
+    EXPECT_EQ(DumpValues({dirs.Addr(0)}, da, 0, /*client_id=*/91 + 2 * da),
+              acked);
+  }
   server.Terminate();
 }
 

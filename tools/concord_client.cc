@@ -48,7 +48,9 @@
 //
 // --server flags are in shard order (shard 0 first) and must match the
 // concordd processes' --shard numbering, since DOV ids route by the
-// shard index baked into them.
+// shard index baked into them. --client-id (1..1024) must be unique
+// among the clients of a server: it keys the server's at-most-once
+// table and is the workstation NodeId its DOP and 2PC ids carry.
 
 #include <unistd.h>
 
@@ -127,7 +129,15 @@ struct Workstation {
   txn::ShardRouter router;
 
   Workstation(const Flags& flags, Status* status) {
-    node = network.AddNode("concord-client" + std::to_string(flags.client_id));
+    // ClientTm puts its NodeId into the top bits of every DopId and
+    // TxnId, so two clients of one concordd must not share it.
+    // --client-id is already unique per server (it keys the server's
+    // at-most-once table), so it becomes the NodeId; the node table
+    // hands ids out in order.
+    do {
+      node = network.AddNode("concord-client" +
+                             std::to_string(flags.client_id));
+    } while (node.value() < flags.client_id);
     storage::SchemaCatalog schema;
     dot = tools::DefinePlaneSchema(&schema);
     std::vector<std::pair<NodeId, txn::ServerService*>> routes;
@@ -382,6 +392,11 @@ int main(int argc, char** argv) {
     }
   }
   if (flags.servers.empty() || flags.mode.empty()) return Usage(argv[0]);
+  if (flags.client_id == 0 || flags.client_id > rpc::Network::kMaxNodes) {
+    std::fprintf(stderr, "--client-id must be in 1..%zu\n",
+                 rpc::Network::kMaxNodes);
+    return 2;
+  }
 
   Status status = Status::OK();
   Workstation ws(flags, &status);

@@ -20,8 +20,11 @@
 //   concordd --listen=tcp:127.0.0.1:0 --data-dir=DIR --shard=N
 //            [--partitions=N] [--workers=N]
 //
-// SIGTERM/SIGINT shut down gracefully (goodbye frames, drained
-// workers). SIGKILL is the crash the WAL and the 2PC ledger exist for.
+// --workers=N sets the number of event-loop threads (default 2); each
+// runs the requests of the connections handed to it to completion.
+// SIGTERM/SIGINT shut down gracefully (running handlers finish, then
+// goodbye frames). SIGKILL is the crash the WAL and the 2PC ledger
+// exist for.
 
 #include <signal.h>
 #include <unistd.h>
