@@ -98,8 +98,8 @@ class ConcordSystem : public txn::ScopeAuthority {
   /// branch-parallel scripts overlap across the pool's threads.
   Status RunDa(DaId da);
 
-  /// An open asynchronous tool run: Begin-of-DOP registered and the
-  /// input version checked out, tool processing not yet performed.
+  /// An open asynchronous tool run: DOP begun and the input version
+  /// checked out, tool processing not yet performed.
   /// FinishToolRun completes (or aborts) it. Splitting the two halves
   /// lets one workstation hold hundreds of DOPs open concurrently.
   struct ToolRun {

@@ -46,6 +46,11 @@ struct TwoPcStats {
   /// Participant envelopes shipped by the multi-node path (phase 1 and
   /// phase 2 combined) — each is one server round trip.
   uint64_t participant_envelopes = 0;
+  /// Commit interactions whose outcome the coordinator could not learn:
+  /// the envelope (or a commit decision) went out, and no reply came
+  /// back within the transport's retries. The server may have applied
+  /// it, so these count as neither committed nor aborted.
+  uint64_t in_doubt = 0;
 };
 
 /// Presumed-abort two-phase commit coordinator with the two

@@ -175,7 +175,8 @@ void InvariantChecker::VerifyAgainst(ScalePlane* plane, bool only_up_nodes) {
     if (!record.ok()) {
       std::string parts;
       for (size_t p : acked.participants) {
-        parts += (parts.empty() ? "" : ",") + std::to_string(p);
+        if (!parts.empty()) parts += ',';
+        parts.append(std::to_string(p));
       }
       AddViolationOnce(ViolationClass::kLostCommit, acked.dov.value(),
                        "acked DOV " + std::to_string(acked.dov.value()) +

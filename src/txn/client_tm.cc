@@ -38,9 +38,30 @@ TxnId ClientTm::NextTxnId() {
   return TxnId((node_.value() << 32) | txn_gen_.Next().value());
 }
 
+namespace {
+
+bool Contains(const std::vector<NodeId>& nodes, NodeId node) {
+  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+}
+
+void Remove(std::vector<NodeId>* nodes, NodeId node) {
+  nodes->erase(std::remove(nodes->begin(), nodes->end(), node), nodes->end());
+}
+
+}  // namespace
+
 bool ClientTm::Enlisted(const DopRuntime& runtime, NodeId node) const {
-  return std::find(runtime.participants.begin(), runtime.participants.end(),
-                   node) != runtime.participants.end();
+  return Contains(runtime.participants, node);
+}
+
+void ClientTm::SettleEnlistment(DopRuntime* runtime, NodeId node,
+                                const Status& outcome) {
+  if (outcome.ok()) {
+    runtime->participants.push_back(node);
+    Remove(&runtime->in_doubt, node);
+  } else if (outcome.IsUnavailable() && !Contains(runtime->in_doubt, node)) {
+    runtime->in_doubt.push_back(node);
+  }
 }
 
 ClientTm::~ClientTm() {
@@ -109,10 +130,14 @@ Result<BatchReply> ClientTm::RunCriticalInteraction(TxnId txn,
 
   auto reply = router_.service(participants.front())->Execute(batch);
   if (!reply.ok()) {
-    // Server unreachable (or retries exhausted): presumed abort.
-    ++two_pc_stats_.aborted;
-    return Status::Unavailable("client/server TM commit protocol failed: " +
-                               reply.status().message());
+    // No reply within the transport's retries. Either every request
+    // was lost or every reply was: the server may have executed the
+    // envelope, commit leg included, so the outcome is in doubt.
+    ++two_pc_stats_.in_doubt;
+    return Status::Unavailable(
+        "client/server TM commit protocol in doubt (no reply; the server "
+        "may have applied it): " +
+        reply.status().message());
   }
   if (reply->ops.size() != batch.ops.size()) {
     ++two_pc_stats_.aborted;
@@ -247,9 +272,9 @@ Result<BatchReply> ClientTm::RunMultiNodeInteraction(
   }
   if (commit && !decide_failure.ok()) {
     // In-doubt window: some participant staged but never learned the
-    // commit (it is down — its volatile ledger dies with it). Surface
-    // the failure; the caller treats the interaction as failed.
-    ++two_pc_stats_.aborted;
+    // commit (it is down, or recovers and re-stages it from its durable
+    // ledger). Surface the failure; the caller cannot tell the outcome.
+    ++two_pc_stats_.in_doubt;
     return Status::Unavailable("cross-shard commit decision undeliverable: " +
                                decide_failure.message());
   }
@@ -273,18 +298,13 @@ Result<DopId> ClientTm::BeginDop(DaId da) {
   // its own counter, and two workstations with concurrently live DOPs
   // must not collide at the server's registration table.
   DopId dop = DopId((node_.value() << 32) | dop_gen_.Next().value());
-  // Registration goes to the DA's home node: that is where the DOP's
-  // checkins will land, and the shard a stale placement would
-  // otherwise misroute them to detects it there.
-  CONCORD_ASSIGN_OR_RETURN(NodeId home, router_.HomeOf(da));
-  std::vector<RoutedOp> ops;
-  ops.push_back({home, BeginDopRequest{dop, da}});
-  CONCORD_ASSIGN_OR_RETURN(
-      BatchReply reply, RunCriticalInteraction(NextTxnId(), std::move(ops)));
-  CONCORD_RETURN_NOT_OK(reply.ops.front().status);
+  // Begin-of-DOP is client-TM bookkeeping: nothing is sent. The home
+  // must still resolve, so an unknown DA fails here; the registration
+  // rides the DOP's first envelope to each node, inside that
+  // envelope's 2PC.
+  CONCORD_RETURN_NOT_OK(router_.HomeOf(da).status());
   DopRuntime runtime;
   runtime.da = da;
-  runtime.participants.push_back(home);
   dops_.emplace(dop, std::move(runtime));
   ++stats_.dops_in_flight;
   if (stats_.dops_in_flight > stats_.peak_dops_in_flight) {
@@ -322,24 +342,31 @@ Status ClientTm::Checkout(DopId dop, DovId dov, bool take_derivation_lock) {
   // (InsertIfCurrent refuses it).
   uint64_t inv_seq = cache_.InvalidationSeq(dov);
   // Route to the node owning the DOV (the id is the address). A first
-  // touch of that node enlists the DOP there — the Begin-of-DOP
-  // piggybacks on the same envelope, so enlistment costs no extra
-  // round trip.
+  // touch of that node, home included, enlists the DOP there — the
+  // Begin-of-DOP piggybacks on the same envelope, so enlistment costs
+  // no extra round trip.
   NodeId target = router_.NodeOfDov(dov);
   bool enlist = !Enlisted(*runtime, target);
   std::vector<RoutedOp> ops;
   if (enlist) ops.push_back({target, BeginDopRequest{dop, runtime->da}});
   ops.push_back({target, CheckoutRequest{dop, dov, take_derivation_lock}});
-  CONCORD_ASSIGN_OR_RETURN(
-      BatchReply reply, RunCriticalInteraction(NextTxnId(), std::move(ops)));
+  auto reply = RunCriticalInteraction(NextTxnId(), std::move(ops));
   size_t checkout_index = enlist ? 1 : 0;
-  if (enlist && reply.ops.front().status.ok()) {
+  if (enlist) {
     // The registration exists server-side from here on, whatever the
     // checkout itself says — End-of-DOP must release it there.
-    runtime->participants.push_back(target);
+    SettleEnlistment(runtime, target,
+                     reply.ok() ? reply->ops.front().status : reply.status());
   }
-  CONCORD_RETURN_NOT_OK(reply.ops[checkout_index].status);
-  auto* body = std::get_if<CheckoutReply>(&reply.ops[checkout_index].body);
+  if (take_derivation_lock &&
+      (reply.ok() ? reply->ops[checkout_index].status.ok()
+                  : reply.status().IsUnavailable())) {
+    // Held, or maybe held (no reply): End-of-DOP takes the 2PC path.
+    runtime->lock_nodes.push_back(target);
+  }
+  CONCORD_RETURN_NOT_OK(reply.status());
+  CONCORD_RETURN_NOT_OK(reply->ops[checkout_index].status);
+  auto* body = std::get_if<CheckoutReply>(&reply->ops[checkout_index].body);
   if (body == nullptr) {
     return Status::Internal("checkout reply carries no DOV record");
   }
@@ -574,13 +601,17 @@ Result<DovId> ClientTm::RoutedCheckin(DopId dop, DopRuntime* runtime,
     for (const RoutedOp& op : ops) {
       if (op.node != home) multi_node = true;
     }
-    CONCORD_ASSIGN_OR_RETURN(
-        BatchReply reply, RunCriticalInteraction(NextTxnId(), std::move(ops)));
-    if (enlist && reply.ops.front().status.ok()) {
+    runtime->checked_in = true;
+    auto result = RunCriticalInteraction(NextTxnId(), std::move(ops));
+    if (enlist) {
       // The registration exists server-side from here on, whatever the
       // interaction's outcome (enlistment survives an abort decision).
-      runtime->participants.push_back(home);
+      SettleEnlistment(runtime, home,
+                       result.ok() ? result->ops.front().status
+                                   : result.status());
     }
+    CONCORD_RETURN_NOT_OK(result.status());
+    BatchReply& reply = *result;
     const Status& checkin_status = reply.ops[checkin_index].status;
     if (checkin_status.IsWrongShard() && attempt == 0) {
       // The DA migrated under this workstation's cache: refresh and
@@ -655,6 +686,14 @@ Result<DovId> ClientTm::CheckinCommit(DopId dop, storage::DesignObject object,
 Status ClientTm::CommitDop(DopId dop) {
   RecursiveMutexLock lock(&mu_);
   CONCORD_ASSIGN_OR_RETURN(DopRuntime * runtime, ActiveDop(dop));
+  if (!runtime->checked_in && runtime->lock_nodes.empty()) {
+    // Read-only DOP (R*'s read-only participant): the release frees
+    // nothing another DOP could observe half-done, so each node is
+    // released on its own and no 2PC is staged anywhere.
+    CONCORD_RETURN_NOT_OK(ReleaseParticipants(dop, runtime, /*commit=*/true));
+    FinishCommitted(dop, runtime);
+    return Status::OK();
+  }
   // Release at every enlisted node; across shards this is the
   // multi-participant protocol (all nodes release or none).
   std::vector<RoutedOp> ops;
@@ -671,6 +710,62 @@ Status ClientTm::CommitDop(DopId dop) {
   return Status::OK();
 }
 
+Status ClientTm::ReleaseParticipants(DopId dop, DopRuntime* runtime,
+                                     bool commit) {
+  // One [Prepare, Commit|Abort, Decide] envelope per node, each
+  // resolved on its own: one unreachable node must not stop the others
+  // from releasing.
+  std::vector<NodeId> nodes = runtime->participants;
+  nodes.insert(nodes.end(), runtime->in_doubt.begin(), runtime->in_doubt.end());
+  std::vector<RoutedOp> ops;
+  ops.reserve(nodes.size());
+  for (NodeId node : nodes) {
+    if (commit) {
+      ops.push_back({node, CommitDopRequest{dop}});
+    } else {
+      ops.push_back({node, AbortDopRequest{dop}});
+    }
+  }
+  auto reply = RunCriticalInteraction(NextTxnId(), std::move(ops),
+                                      /*independent=*/true);
+  // Anything but "no reply" means nothing was sent.
+  if (!reply.ok() && !reply.status().IsUnavailable()) return reply.status();
+  Status first_error = Status::OK();
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Status& st = reply.ok() ? reply->ops[i].status : reply.status();
+    // kNotFound where the registration was in doubt: an earlier
+    // envelope that got no reply already released it, or never made it.
+    bool released = st.ok() || (st.IsNotFound() && Contains(runtime->in_doubt,
+                                                            nodes[i]));
+    // A participant that already dropped the registration (its crash
+    // wiped it, or an earlier partial abort reached it) has nothing
+    // left to release — that is success for an abort. The same goes
+    // for a participant that is DOWN right now (kUnavailable): its
+    // registration and locks are volatile memory dying with it, which
+    // is exactly what its recovered self would answer kUnknownDop
+    // about — a down node must not strand the DOP active. Single-node
+    // planes keep the strict answer (one participant, its status is
+    // the outcome).
+    if (!commit && nodes.size() > 1 &&
+        (st.IsNotFound() || st.IsUnknownDop() || st.IsUnavailable())) {
+      released = true;
+    }
+    if (released) {
+      Remove(&runtime->participants, nodes[i]);
+      Remove(&runtime->in_doubt, nodes[i]);
+      continue;
+    }
+    if (st.IsUnavailable() && !Contains(runtime->in_doubt, nodes[i])) {
+      // No reply: the release may have run, so a retry may find
+      // nothing there.
+      Remove(&runtime->participants, nodes[i]);
+      runtime->in_doubt.push_back(nodes[i]);
+    }
+    if (first_error.ok()) first_error = st;
+  }
+  return first_error;
+}
+
 Status ClientTm::AbortDop(DopId dop) {
   RecursiveMutexLock lock(&mu_);
   auto it = dops_.find(dop);
@@ -682,37 +777,9 @@ Status ClientTm::AbortDop(DopId dop) {
     return Status::FailedPrecondition(dop.ToString() + " already finished");
   }
   // Aborts need no cross-node atomicity — each node dropping its locks
-  // is independently correct and strictly better than keeping them —
-  // so the fan-out is independent: one node being down (its volatile
-  // registration dies with it anyway) must not stop the others from
-  // releasing.
-  std::vector<RoutedOp> ops;
-  for (NodeId p : it->second.participants) {
-    ops.push_back({p, AbortDopRequest{dop}});
-  }
-  CONCORD_ASSIGN_OR_RETURN(
-      BatchReply reply, RunCriticalInteraction(NextTxnId(), std::move(ops),
-                                               /*independent=*/true));
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < reply.ops.size(); ++i) {
-    const Status& st = reply.ops[i].status;
-    if (st.ok()) continue;
-    // A participant that already dropped the registration (its crash
-    // wiped it, or an earlier partial abort reached it) has nothing
-    // left to release — that is success for an abort. The same goes
-    // for a participant that is DOWN right now (kUnavailable): its
-    // registration and locks are volatile memory dying with it, which
-    // is exactly what its recovered self would answer kUnknownDop
-    // about — a down node must not strand the DOP active. Single-node
-    // planes keep the strict answer (one participant, its status is
-    // the outcome).
-    if (reply.ops.size() > 1 &&
-        (st.IsNotFound() || st.IsUnknownDop() || st.IsUnavailable())) {
-      continue;
-    }
-    if (first_error.ok()) first_error = st;
-  }
-  CONCORD_RETURN_NOT_OK(first_error);
+  // is independently correct and strictly better than keeping them.
+  CONCORD_RETURN_NOT_OK(
+      ReleaseParticipants(dop, &it->second, /*commit=*/false));
   it->second.savepoints.clear();
   stable_rp_.erase(dop.value());
   it->second.state = DopState::kAborted;
@@ -828,13 +895,15 @@ void ClientTm::WarmCacheFromRecoveredContexts(
   // must not keep the still-visible ones cold.
   auto reply = RunCriticalInteraction(NextTxnId(), std::move(ops),
                                       /*independent=*/true);
-  if (!reply.ok()) return;  // server unreachable: restart cold (just slower)
-  for (size_t i = 0; i < reply->ops.size(); ++i) {
-    if (!reply->ops[i].status.ok()) continue;  // e.g. withdrawn during outage
+  // An unreachable server just restarts the cache cold (slower, not
+  // wrong); the enlistments are settled either way.
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Status& st = reply.ok() ? reply->ops[i].status : reply.status();
     if (expected[i].enlist.valid()) {
-      dops_.at(expected[i].dop).participants.push_back(expected[i].enlist);
+      SettleEnlistment(&dops_.at(expected[i].dop), expected[i].enlist, st);
       continue;
     }
+    if (!st.ok()) continue;  // e.g. withdrawn during outage
     auto* body = std::get_if<CheckoutReply>(&reply->ops[i].body);
     if (body == nullptr) continue;
     if (cache_.InsertIfCurrent(expected[i].dov, std::move(body->record),

@@ -68,8 +68,14 @@ struct ClientTmStats {
 /// per workstation. It implements the TE-level facilities of Sect. 4.3
 /// (Save/Restore, Suspend/Resume) and the recovery-point machinery of
 /// Sect. 5.2, and drives a two-phase commit with the server-TM for
-/// every critical interaction (Begin-of-DOP, checkout, checkin,
-/// End-of-DOP).
+/// every critical interaction that touches the server plane.
+///
+/// Begin-of-DOP is client-TM bookkeeping: it allocates the DOP id and
+/// sends nothing. The DOP's registration rides the first envelope it
+/// sends to each server node (home included), so a DOP served wholly
+/// from the cache never talks to the server. End-of-DOP of a read-only
+/// DOP (no checkin, no derivation lock) has nothing to make atomic: it
+/// releases each participant with its own envelope, like an abort.
 ///
 /// All server traffic goes through the typed ServerService protocol,
 /// routed across the server plane by a ShardRouter: DOV-addressed
@@ -133,7 +139,9 @@ class ClientTm {
 
   // --- DOP lifecycle -------------------------------------------------
 
-  /// Begin-of-DOP: registers the DOP here and at the server (2PC).
+  /// Begin-of-DOP: registers the DOP here only. The DA's home must
+  /// resolve (an unknown DA fails here); the server registration rides
+  /// the DOP's first envelope to each node.
   Result<DopId> BeginDop(DaId da);
 
   /// Checkout of an input version into the DOP context. Always followed
@@ -192,7 +200,10 @@ class ClientTm {
                               const std::vector<DovId>& predecessors);
 
   /// Commit: releases server-side locks, then removes savepoints and
-  /// recovery points (Sect. 5.2 ordering).
+  /// recovery points (Sect. 5.2 ordering). A DOP that checked in or
+  /// took a derivation lock releases under 2PC (all nodes or none); a
+  /// read-only one releases each node independently, and a failed
+  /// release leaves the DOP active with only the unreleased nodes left.
   Status CommitDop(DopId dop);
   Status AbortDop(DopId dop);
 
@@ -229,10 +240,22 @@ class ClientTm {
     DopContext context;                 // volatile
     std::vector<Savepoint> savepoints;  // volatile
     uint64_t work_at_last_rp = 0;
-    /// Server nodes this DOP is registered at (home node at Begin-of-
-    /// DOP, plus every node a cross-shard checkout enlisted). End-of-
-    /// DOP fans out to exactly these participants.
+    /// Server nodes that confirmed this DOP's registration. Empty at
+    /// Begin-of-DOP; the first envelope to a node (home included)
+    /// carries the BeginDopRequest, and its OK reply adds the node.
+    /// End-of-DOP fans out to these participants.
     std::vector<NodeId> participants;
+    /// Nodes whose registration is in doubt: an envelope that enlisted
+    /// or released the DOP there got no reply. The next envelope to
+    /// such a node re-sends the (idempotent) registration; a release
+    /// there that answers kNotFound counts as released.
+    std::vector<NodeId> in_doubt;
+    /// Nodes where a checkout took (or, reply lost, may have taken) a
+    /// derivation lock.
+    std::vector<NodeId> lock_nodes;
+    /// A checkin was sent for this DOP. With `lock_nodes`, this picks
+    /// the End-of-DOP protocol: either one set means 2PC.
+    bool checked_in = false;
   };
 
   /// One operation plus the server node it routes to.
@@ -247,6 +270,18 @@ class ClientTm {
   /// it, so two interactions must never share one.
   TxnId NextTxnId() REQUIRES(mu_);
   bool Enlisted(const DopRuntime& runtime, NodeId node) const;
+  /// Applies the outcome of a piggybacked BeginDopRequest to `node`
+  /// (not yet a participant): OK confirms the registration;
+  /// kUnavailable (no reply) leaves it in doubt; a typed refusal
+  /// changes nothing.
+  void SettleEnlistment(DopRuntime* runtime, NodeId node,
+                        const Status& outcome);
+  /// Independent End-of-DOP fan-out (abort, and read-only commit): one
+  /// degenerate envelope per participant and in-doubt node. Released
+  /// nodes leave the DOP's lists; nodes that gave no reply move to
+  /// `in_doubt`. Returns the first failure of a node not released.
+  Status ReleaseParticipants(DopId dop, DopRuntime* runtime, bool commit)
+      REQUIRES(mu_);
   /// One critical interaction client<->server plane. Ops landing on a
   /// single node ride one [Prepare, ops..., Decide] envelope (one
   /// round trip). Ops spanning nodes run true multi-participant 2PC:

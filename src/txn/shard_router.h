@@ -19,8 +19,8 @@ namespace concord::txn {
 ///  - DOV-addressed requests (checkout) route by the shard index
 ///    encoded in the DOV id — the id is the address, no lookup, never
 ///    stale.
-///  - DA-addressed requests (Begin-of-DOP, checkin) route by the DA's
-///    home node, resolved through the workstation's PlacementClient
+///  - DA-addressed requests (checkin, and the Begin-of-DOP home
+///    lookup) route by the DA's home node, resolved through the workstation's PlacementClient
 ///    cache. A stale cache surfaces as kWrongShard from the contacted
 ///    node; the client-TM forgets the entry and retries.
 ///

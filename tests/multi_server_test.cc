@@ -202,9 +202,12 @@ TEST(MultiServerPlaneTest, OneNodeCrashLeavesOtherShardServing) {
   // Crash the non-coordinator node.
   plane.CrashNode(1);
 
-  // The victim's shard is down: Begin-of-DOP cannot reach it.
+  // The victim's shard is down. Begin-of-DOP is local and succeeds;
+  // the DOP's first envelope to its home cannot reach it.
   auto dead = tm.BeginDop(da_victim);
-  EXPECT_FALSE(dead.ok());
+  ASSERT_TRUE(dead.ok()) << dead.status().ToString();
+  auto lost = tm.CheckinCommit(*dead, plane.MakeObject(1), {});
+  EXPECT_TRUE(lost.status().IsUnavailable()) << lost.status().ToString();
 
   // The surviving shard serves its DA end to end, unaffected.
   auto dop = tm.BeginDop(da_alive);
@@ -232,7 +235,7 @@ TEST(MultiServerPlaneTest, RetryAfterCrossShardAbortWithFreshEnlistment) {
   DaId da(10);
   ASSERT_TRUE(plane.placement.Assign(da, plane.shards[0].node).ok());
   ClientTm& tm = *plane.clients[0];
-  auto dop = tm.BeginDop(da);  // enlists the old home (shard 0)
+  auto dop = tm.BeginDop(da);  // caches the old home (shard 0)
   ASSERT_TRUE(dop.ok());
   // Migrate under the client's cache; the next checkin must refresh
   // and enlist shard 1 inside the same (aborting) envelope.
@@ -255,9 +258,11 @@ TEST(MultiServerPlaneTest, AbortDopToleratesDownParticipant) {
   DaId da(10);
   ASSERT_TRUE(plane.placement.Assign(da, plane.shards[1].node).ok());
   DovId input = plane.Seed(0, DaId(21), 5);
+  DovId own = plane.Seed(1, da, 6);
   ClientTm& tm = *plane.clients[0];
   auto dop = tm.BeginDop(da);
   ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, own).ok());    // enlists the home, shard 1
   ASSERT_TRUE(tm.Checkout(*dop, input).ok());  // enlists shard 0 too
   // One participant crashes; the abort's independent fan-out must
   // still release the live shard and finish the DOP client-side (the
@@ -268,6 +273,122 @@ TEST(MultiServerPlaneTest, AbortDopToleratesDownParticipant) {
   auto state = tm.StateOf(*dop);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, DopState::kAborted);
+}
+
+// --- Begin-of-DOP is local; read-only End-of-DOP skips the 2PC -----------
+
+TEST(MultiServerPlaneTest, CachedCrossShardDopSendsNoEnvelope) {
+  Plane plane(2);
+  DaId da(10);
+  DovId own = plane.Seed(1, da, 6);
+  DovId input = plane.Seed(0, DaId(21), 5);
+  ClientTm& tm = *plane.clients[0];
+  auto warm = tm.BeginDop(da);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(tm.Checkout(*warm, own).ok());
+  ASSERT_TRUE(tm.Checkout(*warm, input).ok());
+  ASSERT_TRUE(tm.CommitDop(*warm).ok());
+
+  uint64_t calls_before = plane.rpc.stats().calls;
+  auto dop = tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, own).ok());
+  ASSERT_TRUE(tm.Checkout(*dop, input).ok());
+  ASSERT_TRUE(tm.CommitDop(*dop).ok());
+  // Both inputs were cache hits: Begin, checkouts and End-of-DOP made
+  // no RPC call, and neither shard ever registered the DOP.
+  EXPECT_EQ(plane.rpc.stats().calls, calls_before);
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_EQ(*tm.StateOf(*dop), DopState::kCommitted);
+}
+
+TEST(MultiServerPlaneTest, ReadOnlyCrossShardCommitSkipsTwoPhaseCommit) {
+  Plane plane(2);
+  DaId da(10);
+  DovId own = plane.Seed(1, da, 6);
+  DovId input = plane.Seed(0, DaId(21), 5);
+  ClientTm& tm = *plane.clients[0];
+  auto dop = tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, own).ok());    // registers on shard 1
+  ASSERT_TRUE(tm.Checkout(*dop, input).ok());  // registers on shard 0
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).ok());
+  EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).ok());
+
+  uint64_t calls_before = plane.rpc.stats().calls;
+  uint64_t prepared_before = plane.shards[0].tm->stats().txns_prepared +
+                             plane.shards[1].tm->stats().txns_prepared;
+  ASSERT_TRUE(tm.CommitDop(*dop).ok());
+  // One [Prepare, CommitDop, Decide] envelope per node; nothing staged.
+  EXPECT_EQ(plane.rpc.stats().calls, calls_before + 2);
+  EXPECT_EQ(plane.shards[0].tm->stats().txns_prepared +
+                plane.shards[1].tm->stats().txns_prepared,
+            prepared_before);
+  EXPECT_EQ(tm.two_pc_stats().multi_node_protocols, 0u);
+  EXPECT_EQ(tm.stats().cross_shard_interactions, 0u);
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_EQ(*tm.StateOf(*dop), DopState::kCommitted);
+}
+
+TEST(MultiServerPlaneTest, ForeignDerivationLockKeepsTwoPhaseCommit) {
+  Plane plane(2);
+  DaId da(10);
+  DovId own = plane.Seed(1, da, 6);
+  DovId input = plane.Seed(0, DaId(21), 5);
+  ClientTm& tm = *plane.clients[0];
+  auto dop = tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, own).ok());
+  ASSERT_TRUE(tm.Checkout(*dop, input, /*take_derivation_lock=*/true).ok());
+  EXPECT_EQ(plane.shards[0].tm->locks().DerivationHolder(input), da);
+
+  uint64_t prepared_before = plane.shards[0].tm->stats().txns_prepared +
+                             plane.shards[1].tm->stats().txns_prepared;
+  ASSERT_TRUE(tm.CommitDop(*dop).ok());
+  // The lock release runs as multi-participant 2PC: both nodes staged
+  // their leg and resolved it at the decision.
+  EXPECT_EQ(tm.two_pc_stats().multi_node_protocols, 1u);
+  EXPECT_EQ(tm.stats().cross_shard_interactions, 1u);
+  EXPECT_EQ(plane.shards[0].tm->stats().txns_prepared +
+                plane.shards[1].tm->stats().txns_prepared,
+            prepared_before + 2);
+  EXPECT_FALSE(plane.shards[0].tm->locks().DerivationHolder(input).valid());
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).status().IsNotFound());
+}
+
+TEST(MultiServerPlaneTest, ReadOnlyReleaseRetriesOnlyTheDownNode) {
+  Plane plane(2);
+  DaId da(10);
+  DovId own = plane.Seed(1, da, 6);
+  DovId input = plane.Seed(0, DaId(21), 5);
+  ClientTm& tm = *plane.clients[0];
+  auto dop = tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, own).ok());
+  ASSERT_TRUE(tm.Checkout(*dop, input).ok());
+
+  // Shard 0 is unreachable (its registration survives, the link is
+  // what is down). The release of shard 1 goes through; the DOP stays
+  // active and reports the typed failure.
+  plane.network.SetNodeUp(plane.shards[0].node, false);
+  Status first = tm.CommitDop(*dop);
+  EXPECT_TRUE(first.IsUnavailable()) << first.ToString();
+  EXPECT_EQ(*tm.StateOf(*dop), DopState::kActive);
+  EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).ok());
+
+  // After recovery the retry releases only the node still holding it.
+  plane.network.SetNodeUp(plane.shards[0].node, true);
+  uint64_t calls_before = plane.rpc.stats().calls;
+  ASSERT_TRUE(tm.CommitDop(*dop).ok());
+  EXPECT_EQ(plane.rpc.stats().calls, calls_before + 1);
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_EQ(*tm.StateOf(*dop), DopState::kCommitted);
+  EXPECT_EQ(plane.shards[0].tm->stats().dops_committed, 1u);
+  EXPECT_EQ(plane.shards[1].tm->stats().dops_committed, 1u);
 }
 
 TEST(MultiServerPlaneTest, StalePlacementCacheRefreshesOnWrongShard) {

@@ -162,15 +162,19 @@ TEST(ScaleCheckerSelfTest, PlantedHalfAppliedCommit) {
   DovId dov = seeded.dovs.front();
   auto& plane = harness.plane();
 
-  // Begin a DOP (registering it on the DA's home shard) and then claim
-  // its commit was acked without ever finishing it: the participant
-  // still carries the registration — a half-applied decision.
+  // Begin a DOP, register it on the DA's home shard, and then claim its
+  // commit was acked without ever finishing it: the participant still
+  // carries the registration — a half-applied decision. (Begin-of-DOP
+  // is local to the client-TM, so the registration is planted at the
+  // shard's server-TM directly.)
   auto value = plane.shard(seeded.shard).repo->Get(dov);
   ASSERT_TRUE(value.ok());
   auto attr = value->data.GetAttr("value");
   ASSERT_TRUE(attr.ok());
   auto dop = plane.workstation(0).client->BeginDop(seeded.da);
   ASSERT_TRUE(dop.ok()) << dop.status().ToString();
+  size_t home = DovShardClamped(dov, plane.node_count());
+  ASSERT_TRUE(plane.shard(home).tm->BeginDop(*dop, seeded.da).ok());
 
   InvariantChecker::AckedCommit acked;
   acked.ws = 0;
@@ -178,7 +182,6 @@ TEST(ScaleCheckerSelfTest, PlantedHalfAppliedCommit) {
   acked.dov = dov;
   acked.value = attr->as_int();
   acked.da = seeded.da;
-  size_t home = DovShardClamped(dov, plane.node_count());
   acked.participants = {home};
   harness.checker().RecordAckedCommit(acked);
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "rpc/network.h"
 #include "rpc/transactional_rpc.h"
@@ -204,11 +206,12 @@ TEST_F(ServerServiceTest, ClientTmTrafficIsVisibleInRpcStats) {
   auto out = client_->Checkin(*dop, MakeObj(6), {input});
   ASSERT_TRUE(out.ok());
   ASSERT_TRUE(client_->CommitDop(*dop).ok());
-  // begin + checkout + checkin + commit = 4 envelopes, zero raw 2PC
-  // side-channels: the protocol legs rode inside the envelopes.
-  EXPECT_EQ(rpc_.stats().calls, 4u);
-  EXPECT_EQ(client_->two_pc_stats().protocols_run, 4u);
-  EXPECT_EQ(client_->two_pc_stats().committed, 4u);
+  // checkout (carrying the registration) + checkin + commit = 3
+  // envelopes, zero raw 2PC side-channels: Begin-of-DOP is local and
+  // the protocol legs rode inside the envelopes.
+  EXPECT_EQ(rpc_.stats().calls, 3u);
+  EXPECT_EQ(client_->two_pc_stats().protocols_run, 3u);
+  EXPECT_EQ(client_->two_pc_stats().committed, 3u);
 }
 
 TEST_F(ServerServiceTest, BatchedCheckinCommitSavesARoundTrip) {
@@ -261,6 +264,68 @@ TEST_F(ServerServiceTest, OwnCheckinIsServedFromCache) {
   EXPECT_EQ(obj->GetAttr("value")->as_int(), 6);
 }
 
+// --- Begin-of-DOP is local ------------------------------------------------
+
+TEST_F(ServerServiceTest, BeginDopRegistersOnFirstEnvelope) {
+  DovId input = Seed(DaId(1), 5);
+  auto dop = client_->BeginDop(DaId(1));
+  ASSERT_TRUE(dop.ok());
+  // Begin-of-DOP sent nothing: no call, no server registration.
+  EXPECT_EQ(rpc_.stats().calls, 0u);
+  EXPECT_EQ(server_->stats().dops_begun, 0u);
+  EXPECT_TRUE(server_->DaOfDop(*dop).status().IsNotFound());
+  // The first miss checkout carries the registration: one envelope.
+  ASSERT_TRUE(client_->Checkout(*dop, input).ok());
+  EXPECT_EQ(rpc_.stats().calls, 1u);
+  EXPECT_EQ(server_->stats().dops_begun, 1u);
+  EXPECT_EQ(*server_->DaOfDop(*dop), DaId(1));
+  ASSERT_TRUE(client_->CommitDop(*dop).ok());
+  EXPECT_TRUE(server_->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_EQ(server_->stats().dops_committed, 1u);
+}
+
+TEST_F(ServerServiceTest, CachedDopEndsWithoutAnyEnvelope) {
+  DovId input = Seed(DaId(1), 5);
+  auto warm = client_->BeginDop(DaId(1));
+  ASSERT_TRUE(client_->Checkout(*warm, input).ok());
+  ASSERT_TRUE(client_->CommitDop(*warm).ok());
+  uint64_t calls_before = rpc_.stats().calls;
+  uint64_t begun_before = server_->stats().dops_begun;
+
+  // Served wholly from the cache: neither commit nor abort talks to
+  // the server, and the server never hears of either DOP.
+  auto committed = client_->BeginDop(DaId(1));
+  ASSERT_TRUE(client_->Checkout(*committed, input).ok());
+  ASSERT_TRUE(client_->CommitDop(*committed).ok());
+  auto aborted = client_->BeginDop(DaId(1));
+  ASSERT_TRUE(client_->Checkout(*aborted, input).ok());
+  ASSERT_TRUE(client_->AbortDop(*aborted).ok());
+
+  EXPECT_EQ(rpc_.stats().calls, calls_before);
+  EXPECT_EQ(server_->stats().dops_begun, begun_before);
+  EXPECT_EQ(client_->stats().checkouts_from_cache, 2u);
+  EXPECT_EQ(*client_->StateOf(*committed), DopState::kCommitted);
+  EXPECT_EQ(*client_->StateOf(*aborted), DopState::kAborted);
+  EXPECT_TRUE(server_->DaOfDop(*committed).status().IsNotFound());
+}
+
+TEST_F(ServerServiceTest, DownHomeFailsTheFirstOpNotBegin) {
+  DovId input = Seed(DaId(1), 5);
+  network_.SetNodeUp(server_node_, false);
+  // Begin-of-DOP is local, so it succeeds with the home down...
+  auto dop = client_->BeginDop(DaId(1));
+  ASSERT_TRUE(dop.ok()) << dop.status().ToString();
+  // ...and the first envelope there reports the outage.
+  Status checkout = client_->Checkout(*dop, input);
+  EXPECT_TRUE(checkout.IsUnavailable()) << checkout.ToString();
+  EXPECT_EQ(client_->two_pc_stats().in_doubt, 1u);
+  // With the server back, the in-doubt registration is simply re-sent.
+  network_.SetNodeUp(server_node_, true);
+  ASSERT_TRUE(client_->Checkout(*dop, input).ok());
+  ASSERT_TRUE(client_->CommitDop(*dop).ok());
+  EXPECT_TRUE(server_->DaOfDop(*dop).status().IsNotFound());
+}
+
 // --- Message loss ---------------------------------------------------------
 
 TEST_F(ServerServiceTest, LossyLanMasksLossWithAtMostOnceEffects) {
@@ -269,6 +334,7 @@ TEST_F(ServerServiceTest, LossyLanMasksLossWithAtMostOnceEffects) {
 
   constexpr int kCycles = 40;
   int completed = 0;
+  std::vector<DopId> in_doubt;
   for (int i = 0; i < kCycles; ++i) {
     auto dop = client_->BeginDop(DaId(1));
     if (!dop.ok()) continue;  // retries exhausted: rare but legal
@@ -276,23 +342,43 @@ TEST_F(ServerServiceTest, LossyLanMasksLossWithAtMostOnceEffects) {
       client_->AbortDop(*dop).ok();
       continue;
     }
+    uint64_t doubted_before = client_->two_pc_stats().in_doubt;
     auto out = client_->CheckinCommit(*dop, MakeObj(i % 100), {input});
-    if (out.ok()) ++completed;
+    if (out.ok()) {
+      ++completed;
+    } else if (client_->two_pc_stats().in_doubt > doubted_before) {
+      // Every attempt lost its request or its reply: the server may
+      // have committed. The client reports kUnavailable, not abort.
+      EXPECT_TRUE(out.status().IsUnavailable()) << out.status().ToString();
+      in_doubt.push_back(*dop);
+    }
   }
   // The reliable channel must mask 30% loss almost always (5 retries
   // per envelope); a handful of exhausted-retry failures is tolerated.
   EXPECT_GE(completed, kCycles * 4 / 5);
 
-  // At-most-once server effects: every completed cycle executed its
-  // checkin and commit EXACTLY once — duplicates were suppressed by
-  // the dedup table, not replayed into the repository.
+  // Resolve the in-doubt cycles against the repository: a cycle whose
+  // envelope did execute left exactly one DOV created by its DOP.
+  uint64_t committed_in_doubt = 0;
+  for (DovId dov : repo_.DovsOf(DaId(1))) {
+    auto record = repo_.Get(dov);
+    ASSERT_TRUE(record.ok());
+    if (std::find(in_doubt.begin(), in_doubt.end(), record->created_by) !=
+        in_doubt.end()) {
+      ++committed_in_doubt;
+    }
+  }
+
+  // At-most-once server effects: every completed cycle — and every
+  // in-doubt one the server did execute — ran its checkin and commit
+  // EXACTLY once; duplicates were suppressed by the dedup table, not
+  // replayed into the repository.
+  const uint64_t executed = static_cast<uint64_t>(completed) +
+                            committed_in_doubt;
   EXPECT_EQ(server_->stats().checkins,
-            static_cast<uint64_t>(completed) +
-                server_->stats().checkin_failures);
-  EXPECT_EQ(server_->stats().dops_committed,
-            static_cast<uint64_t>(completed));
-  EXPECT_EQ(repo_.stats().dovs_written,
-            static_cast<uint64_t>(completed) + 1);  // +1 for the seed
+            executed + server_->stats().checkin_failures);
+  EXPECT_EQ(server_->stats().dops_committed, executed);
+  EXPECT_EQ(repo_.stats().dovs_written, executed + 1);  // +1 for the seed
 
   // Retry accounting: loss showed up as retries and (for lost replies)
   // suppressed duplicate executions, all visible in RpcStats.

@@ -325,11 +325,14 @@ TEST_F(TmTest, CommitProtocolFailsWhenServerDown) {
 
 TEST_F(TmTest, TwoPcRunsPerCriticalInteraction) {
   auto dop = client_->BeginDop(DaId(1));
-  uint64_t after_begin = client_->two_pc_stats().protocols_run;
-  EXPECT_GE(after_begin, 1u);
-  client_->Checkin(*dop, MakeObj(1), {}).ok();
-  client_->CommitDop(*dop).ok();
-  EXPECT_GE(client_->two_pc_stats().protocols_run, after_begin + 2);
+  // Begin-of-DOP is local: no interaction with the server yet.
+  EXPECT_EQ(client_->two_pc_stats().protocols_run, 0u);
+  // The checkin (carrying the registration) and the commit are one
+  // protocol run each.
+  ASSERT_TRUE(client_->Checkin(*dop, MakeObj(1), {}).ok());
+  ASSERT_TRUE(client_->CommitDop(*dop).ok());
+  EXPECT_EQ(client_->two_pc_stats().protocols_run, 2u);
+  EXPECT_EQ(client_->two_pc_stats().committed, 2u);
 }
 
 TEST_F(TmTest, ScopeAuthorityDenialBlocksCheckout) {

@@ -254,7 +254,11 @@ int RunCrossfire(Workstation& ws, const Flags& flags) {
     }
     auto seed = ws.tm->CheckinCommit(*dop, ws.MakeObject(value), {});
     ReportAttempt(seed, value);
-    if (seed.ok()) seeds.emplace_back(*seed, value);
+    if (seed.ok()) {
+      seeds.emplace_back(*seed, value);
+    } else {
+      ws.tm->AbortDop(*dop).ok();  // release the registration either way
+    }
   }
   // Cross-shard attempts: checkout (participant: seed's shard, with a
   // derivation lock so commit must release it there) + checkin
@@ -280,8 +284,14 @@ int RunCrossfire(Workstation& ws, const Flags& flags) {
       ws.tm->AbortDop(*dop).ok();
       continue;
     }
-    ReportAttempt(ws.tm->CheckinCommit(*dop, ws.MakeObject(value), {seed}),
-                  value);
+    auto checked_in =
+        ws.tm->CheckinCommit(*dop, ws.MakeObject(value), {seed});
+    ReportAttempt(checked_in, value);
+    // A failed (or in-doubt) CheckinCommit leaves the DOP active with
+    // the derivation lock on the seed's shard: abort releases it, so it
+    // cannot block later traffic. An abort that finds the DOP already
+    // finished server-side is fine.
+    if (!checked_in.ok()) ws.tm->AbortDop(*dop).ok();
   }
   return 0;
 }
