@@ -300,8 +300,8 @@ Result<DopId> ClientTm::BeginDop(DaId da) {
   DopId dop = DopId((node_.value() << 32) | dop_gen_.Next().value());
   // Begin-of-DOP is client-TM bookkeeping: nothing is sent. The home
   // must still resolve, so an unknown DA fails here; the registration
-  // rides the DOP's first envelope to each node, inside that
-  // envelope's 2PC.
+  // rides the DOP's first checkout envelope to each node, or goes
+  // alone ahead of a checkin (RoutedCheckin).
   CONCORD_RETURN_NOT_OK(router_.HomeOf(da).status());
   DopRuntime runtime;
   runtime.da = da;
@@ -344,7 +344,9 @@ Status ClientTm::Checkout(DopId dop, DovId dov, bool take_derivation_lock) {
   // Route to the node owning the DOV (the id is the address). A first
   // touch of that node, home included, enlists the DOP there — the
   // Begin-of-DOP piggybacks on the same envelope, so enlistment costs
-  // no extra round trip.
+  // no extra round trip. Unlike a checkin, a checkout is safe to
+  // re-execute: a restarted server that re-runs the envelope only
+  // registers the DOP and reads (or locks) the DOV again.
   NodeId target = router_.NodeOfDov(dov);
   bool enlist = !Enlisted(*runtime, target);
   std::vector<RoutedOp> ops;
@@ -362,7 +364,7 @@ Status ClientTm::Checkout(DopId dop, DovId dov, bool take_derivation_lock) {
       (reply.ok() ? reply->ops[checkout_index].status.ok()
                   : reply.status().IsUnavailable())) {
     // Held, or maybe held (no reply): End-of-DOP takes the 2PC path.
-    runtime->lock_nodes.push_back(target);
+    runtime->needs_2pc = true;
   }
   CONCORD_RETURN_NOT_OK(reply.status());
   CONCORD_RETURN_NOT_OK(reply->ops[checkout_index].status);
@@ -568,6 +570,19 @@ void ClientTm::CacheOwnCheckin(const DopRuntime& runtime, DopId dop, DovId dov,
   }
 }
 
+void ClientTm::AppendCommitLegs(DopId dop, const DopRuntime& runtime,
+                                NodeId skip,
+                                std::vector<RoutedOp>* ops) const {
+  for (NodeId p : runtime.participants) {
+    if (p != skip) ops->push_back({p, CommitDopRequest{dop}});
+  }
+  for (NodeId p : runtime.in_doubt) {
+    if (p == skip) continue;
+    ops->push_back({p, BeginDopRequest{dop, runtime.da}});
+    ops->push_back({p, CommitDopRequest{dop}});
+  }
+}
+
 Result<DovId> ClientTm::RoutedCheckin(DopId dop, DopRuntime* runtime,
                                       storage::DesignObject object,
                                       const std::vector<DovId>& predecessors,
@@ -578,9 +593,20 @@ Result<DovId> ClientTm::RoutedCheckin(DopId dop, DopRuntime* runtime,
   // re-fetches the placement and lands on the new home.
   for (int attempt = 0; attempt < 2; ++attempt) {
     CONCORD_ASSIGN_OR_RETURN(NodeId home, router_.HomeOf(runtime->da));
-    bool enlist = !Enlisted(*runtime, home);
+    if (!Enlisted(*runtime, home)) {
+      // The home registration never rides a checkin envelope. A server
+      // restarted after executing an envelope whose reply was lost has
+      // an empty dedup table and re-executes the re-sent envelope: a
+      // lone checkin then finds no registration and is refused, where
+      // [BeginDop, Checkin, CommitDop] would commit a second DOV.
+      std::vector<RoutedOp> begin;
+      begin.push_back({home, BeginDopRequest{dop, runtime->da}});
+      auto reply = RunCriticalInteraction(NextTxnId(), std::move(begin));
+      Status enlisted = reply.ok() ? reply->ops.front().status : reply.status();
+      SettleEnlistment(runtime, home, enlisted);
+      CONCORD_RETURN_NOT_OK(enlisted);
+    }
     std::vector<RoutedOp> ops;
-    if (enlist) ops.push_back({home, BeginDopRequest{dop, runtime->da}});
     ops.push_back({home, CheckinRequest{dop, object, predecessors,
                                         created_at}});
     if (with_commit) {
@@ -592,27 +618,16 @@ Result<DovId> ClientTm::RoutedCheckin(DopId dop, DopRuntime* runtime,
       // the decision commits the checkin and all releases together or
       // none.
       ops.push_back({home, CommitDopRequest{dop}});
-      for (NodeId p : runtime->participants) {
-        if (p != home) ops.push_back({p, CommitDopRequest{dop}});
-      }
+      AppendCommitLegs(dop, *runtime, home, &ops);
     }
-    size_t checkin_index = enlist ? 1 : 0;
     bool multi_node = false;
     for (const RoutedOp& op : ops) {
       if (op.node != home) multi_node = true;
     }
-    runtime->checked_in = true;
-    auto result = RunCriticalInteraction(NextTxnId(), std::move(ops));
-    if (enlist) {
-      // The registration exists server-side from here on, whatever the
-      // interaction's outcome (enlistment survives an abort decision).
-      SettleEnlistment(runtime, home,
-                       result.ok() ? result->ops.front().status
-                                   : result.status());
-    }
-    CONCORD_RETURN_NOT_OK(result.status());
-    BatchReply& reply = *result;
-    const Status& checkin_status = reply.ops[checkin_index].status;
+    runtime->needs_2pc = true;
+    CONCORD_ASSIGN_OR_RETURN(
+        BatchReply reply, RunCriticalInteraction(NextTxnId(), std::move(ops)));
+    const Status& checkin_status = reply.ops.front().status;
     if (checkin_status.IsWrongShard() && attempt == 0) {
       // The DA migrated under this workstation's cache: refresh and
       // reroute. Nothing committed — the home's chain skipped its own
@@ -633,14 +648,14 @@ Result<DovId> ClientTm::RoutedCheckin(DopId dop, DopRuntime* runtime,
     // abort-discarded (other nodes), so the DOP stays active and the
     // caller sees the typed "checkin failure".
     CONCORD_RETURN_NOT_OK(checkin_status);
-    auto* body = std::get_if<CheckinReply>(&reply.ops[checkin_index].body);
+    auto* body = std::get_if<CheckinReply>(&reply.ops.front().body);
     if (body == nullptr) {
       return Status::Internal("checkin reply carries no DOV id");
     }
     // Every commit leg must have succeeded; on a cross-shard abort the
     // staged checkin was discarded with them, so the first failure is
     // the interaction's outcome.
-    for (size_t i = checkin_index + 1; i < reply.ops.size(); ++i) {
+    for (size_t i = 1; i < reply.ops.size(); ++i) {
       CONCORD_RETURN_NOT_OK(reply.ops[i].status);
     }
     if (with_commit) FinishCommitted(dop, runtime);
@@ -686,7 +701,7 @@ Result<DovId> ClientTm::CheckinCommit(DopId dop, storage::DesignObject object,
 Status ClientTm::CommitDop(DopId dop) {
   RecursiveMutexLock lock(&mu_);
   CONCORD_ASSIGN_OR_RETURN(DopRuntime * runtime, ActiveDop(dop));
-  if (!runtime->checked_in && runtime->lock_nodes.empty()) {
+  if (!runtime->needs_2pc) {
     // Read-only DOP (R*'s read-only participant): the release frees
     // nothing another DOP could observe half-done, so each node is
     // released on its own and no 2PC is staged anywhere.
@@ -694,13 +709,14 @@ Status ClientTm::CommitDop(DopId dop) {
     FinishCommitted(dop, runtime);
     return Status::OK();
   }
-  // Release at every enlisted node; across shards this is the
-  // multi-participant protocol (all nodes release or none).
+  // Release at every enlisted node, and at every in-doubt one; across
+  // shards this is the multi-participant protocol (all nodes release
+  // or none).
   std::vector<RoutedOp> ops;
-  for (NodeId p : runtime->participants) {
-    ops.push_back({p, CommitDopRequest{dop}});
+  AppendCommitLegs(dop, *runtime, NodeId(), &ops);
+  if (runtime->participants.size() + runtime->in_doubt.size() > 1) {
+    ++stats_.cross_shard_interactions;
   }
-  if (ops.size() > 1) ++stats_.cross_shard_interactions;
   CONCORD_ASSIGN_OR_RETURN(
       BatchReply reply, RunCriticalInteraction(NextTxnId(), std::move(ops)));
   for (const ServerReply& op : reply.ops) {

@@ -71,11 +71,14 @@ struct ClientTmStats {
 /// every critical interaction that touches the server plane.
 ///
 /// Begin-of-DOP is client-TM bookkeeping: it allocates the DOP id and
-/// sends nothing. The DOP's registration rides the first envelope it
-/// sends to each server node (home included), so a DOP served wholly
-/// from the cache never talks to the server. End-of-DOP of a read-only
-/// DOP (no checkin, no derivation lock) has nothing to make atomic: it
-/// releases each participant with its own envelope, like an abort.
+/// sends nothing. The DOP's registration rides the first checkout
+/// envelope it sends to each server node (home included), or goes
+/// alone ahead of a checkin: a checkin envelope never carries it, so a
+/// restarted server re-running that envelope cannot commit it twice. A
+/// DOP served wholly from the cache never talks to the server.
+/// End-of-DOP of a read-only DOP (no checkin, no derivation lock) has
+/// nothing to make atomic: it releases each participant with its own
+/// envelope, like an abort.
 ///
 /// All server traffic goes through the typed ServerService protocol,
 /// routed across the server plane by a ShardRouter: DOV-addressed
@@ -141,7 +144,8 @@ class ClientTm {
 
   /// Begin-of-DOP: registers the DOP here only. The DA's home must
   /// resolve (an unknown DA fails here); the server registration rides
-  /// the DOP's first envelope to each node.
+  /// the DOP's first checkout envelope to each node, or goes alone
+  /// ahead of its first checkin at the home.
   Result<DopId> BeginDop(DaId da);
 
   /// Checkout of an input version into the DOP context. Always followed
@@ -241,21 +245,20 @@ class ClientTm {
     std::vector<Savepoint> savepoints;  // volatile
     uint64_t work_at_last_rp = 0;
     /// Server nodes that confirmed this DOP's registration. Empty at
-    /// Begin-of-DOP; the first envelope to a node (home included)
-    /// carries the BeginDopRequest, and its OK reply adds the node.
-    /// End-of-DOP fans out to these participants.
+    /// Begin-of-DOP; the first checkout envelope to a node carries the
+    /// BeginDopRequest, and its OK reply adds the node. A checkin never
+    /// carries it: an unenlisted home is registered by an envelope of
+    /// its own first. End-of-DOP fans out to these participants.
     std::vector<NodeId> participants;
     /// Nodes whose registration is in doubt: an envelope that enlisted
-    /// or released the DOP there got no reply. The next envelope to
-    /// such a node re-sends the (idempotent) registration; a release
-    /// there that answers kNotFound counts as released.
+    /// or released the DOP there got no reply. Every later envelope to
+    /// such a node, End-of-DOP included, re-sends the (idempotent)
+    /// registration; an independent release there that answers
+    /// kNotFound counts as released.
     std::vector<NodeId> in_doubt;
-    /// Nodes where a checkout took (or, reply lost, may have taken) a
-    /// derivation lock.
-    std::vector<NodeId> lock_nodes;
-    /// A checkin was sent for this DOP. With `lock_nodes`, this picks
-    /// the End-of-DOP protocol: either one set means 2PC.
-    bool checked_in = false;
+    /// End-of-DOP must run as 2PC: a checkin was sent, or a checkout
+    /// took (or, reply lost, may have taken) a derivation lock.
+    bool needs_2pc = false;
   };
 
   /// One operation plus the server node it routes to.
@@ -276,6 +279,12 @@ class ClientTm {
   /// changes nothing.
   void SettleEnlistment(DopRuntime* runtime, NodeId node,
                         const Status& outcome);
+  /// Appends a CommitDopRequest for every participant and in-doubt
+  /// node except `skip` — the release legs of a 2PC End-of-DOP. An
+  /// in-doubt node gets its registration re-sent ahead of the release,
+  /// so the release lands whatever the lost envelope did there.
+  void AppendCommitLegs(DopId dop, const DopRuntime& runtime, NodeId skip,
+                        std::vector<RoutedOp>* ops) const;
   /// Independent End-of-DOP fan-out (abort, and read-only commit): one
   /// degenerate envelope per participant and in-doubt node. Released
   /// nodes leave the DOP's lists; nodes that gave no reply move to
@@ -304,8 +313,9 @@ class ClientTm {
       std::vector<RoutedOp>& ops, bool independent) REQUIRES(mu_);
   /// Shared checkin routing: resolves the DA's home (two attempts —
   /// a kWrongShard reply refreshes the placement cache and reroutes),
-  /// piggybacks enlistment, and optionally appends the End-of-DOP
-  /// commit legs for every participant (the batched CheckinCommit).
+  /// enlists an unenlisted home first, and optionally appends the
+  /// End-of-DOP commit legs for every participant (the batched
+  /// CheckinCommit).
   /// On success with `with_commit` the DOP is finished client-side.
   Result<DovId> RoutedCheckin(DopId dop, DopRuntime* runtime,
                               storage::DesignObject object,

@@ -20,9 +20,10 @@ namespace concord::txn {
 ///    encoded in the DOV id — the id is the address, no lookup, never
 ///    stale.
 ///  - DA-addressed requests (checkin, and the Begin-of-DOP home
-///    lookup) route by the DA's home node, resolved through the workstation's PlacementClient
-///    cache. A stale cache surfaces as kWrongShard from the contacted
-///    node; the client-TM forgets the entry and retries.
+///    lookup) route by the DA's home node, resolved through the
+///    workstation's PlacementClient cache. A stale cache surfaces as
+///    kWrongShard from the contacted node; the client-TM forgets the
+///    entry and retries.
 ///
 /// The degenerate single-service router (every request to the one
 /// node) reproduces the pre-sharding behaviour exactly and never

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include "bench/bench_tm_env.h"
 #include "common/ids.h"
@@ -226,8 +229,8 @@ TEST(MultiServerPlaneTest, OneNodeCrashLeavesOtherShardServing) {
   EXPECT_EQ(DovShardOf(*v), 1u);
 }
 
-// Regression: a cross-shard CheckinCommit whose envelope BOTH enlists
-// the new home and aborts (integrity failure) must leave the client's
+// Regression: a cross-shard CheckinCommit that BOTH enlists the new
+// home and aborts (integrity failure) must leave the client's
 // participant list and the server's registration table agreeing, so a
 // retry with a valid object succeeds instead of wedging on kNotFound.
 TEST(MultiServerPlaneTest, RetryAfterCrossShardAbortWithFreshEnlistment) {
@@ -237,8 +240,8 @@ TEST(MultiServerPlaneTest, RetryAfterCrossShardAbortWithFreshEnlistment) {
   ClientTm& tm = *plane.clients[0];
   auto dop = tm.BeginDop(da);  // caches the old home (shard 0)
   ASSERT_TRUE(dop.ok());
-  // Migrate under the client's cache; the next checkin must refresh
-  // and enlist shard 1 inside the same (aborting) envelope.
+  // Migrate under the client's cache; the next checkin must refresh,
+  // enlist shard 1 (an envelope of its own) and abort there.
   ASSERT_TRUE(plane.placement.Migrate(da, plane.shards[1].node).ok());
   storage::DesignObject bad(plane.dot);  // missing required "value"
   auto failed = tm.CheckinCommit(*dop, std::move(bad), {});
@@ -357,6 +360,119 @@ TEST(MultiServerPlaneTest, ForeignDerivationLockKeepsTwoPhaseCommit) {
   EXPECT_FALSE(plane.shards[0].tm->locks().DerivationHolder(input).valid());
   EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).status().IsNotFound());
   EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).status().IsNotFound());
+}
+
+/// A workstation's link to one shard that misbehaves on demand.
+///  - `drop_replies`: the envelope runs, its reply is lost.
+///  - `restart_on_checkin`: the next envelope carrying a checkin runs,
+///    the server crashes and recovers before replying, and the
+///    transport's re-send runs the envelope again on the new
+///    incarnation, whose at-most-once table is empty. The workstation
+///    gets the second reply.
+class FlakyLink : public ServerService {
+ public:
+  FlakyLink(ServerService* inner, std::function<void()> restart_server)
+      : inner_(inner), restart_server_(std::move(restart_server)) {}
+  NodeId server_node() const override { return inner_->server_node(); }
+  Result<BatchReply> Execute(const BatchRequest& batch) override {
+    auto reply = inner_->Execute(batch);
+    if (drop_replies) return Status::Unavailable("reply lost");
+    if (restart_on_checkin && CarriesCheckin(batch)) {
+      restart_on_checkin = false;
+      restart_server_();
+      return inner_->Execute(batch);
+    }
+    return reply;
+  }
+
+  bool drop_replies = false;
+  bool restart_on_checkin = false;
+
+ private:
+  static bool CarriesCheckin(const BatchRequest& batch) {
+    for (const ServerRequest& op : batch.ops) {
+      if (std::holds_alternative<CheckinRequest>(op)) return true;
+    }
+    return false;
+  }
+
+  ServerService* inner_;
+  std::function<void()> restart_server_;
+};
+
+/// A client-TM on a workstation of its own whose link to shard 0 is a
+/// FlakyLink (shard 1 is reached directly).
+struct FlakyWorkstation {
+  explicit FlakyWorkstation(Plane& plane)
+      : node(plane.network.AddNode("ws-flaky")),
+        stub0(&plane.rpc, node, plane.shards[0].node),
+        stub1(&plane.rpc, node, plane.shards[1].node),
+        link0(&stub0,
+              [&plane] {
+                plane.CrashNode(0);
+                ASSERT_TRUE(plane.shards[0].tm->Recover().ok());
+              }),
+        placement(&plane.rpc, node, plane.server_node),
+        tm(ShardRouter({{plane.shards[0].node, &link0},
+                        {plane.shards[1].node, &stub1}},
+                       &placement),
+           &plane.network, node, &plane.clock, /*invalidations=*/nullptr) {}
+
+  NodeId node;
+  RemoteServerStub stub0;
+  RemoteServerStub stub1;
+  FlakyLink link0;
+  PlacementClient placement;
+  ClientTm tm;
+};
+
+TEST(MultiServerPlaneTest, LostLockingCheckoutIsReleasedByCommit) {
+  Plane plane(2);
+  DaId da(10);
+  DovId own = plane.Seed(1, da, 6);
+  DovId input = plane.Seed(0, DaId(21), 5);
+  FlakyWorkstation ws(plane);
+  ClientTm& tm = ws.tm;
+  auto dop = tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, own).ok());
+
+  // The enlisting checkout ran on shard 0 and took the lock, but its
+  // reply was lost: shard 0 is in doubt, not a participant.
+  ws.link0.drop_replies = true;
+  Status lost = tm.Checkout(*dop, input, /*take_derivation_lock=*/true);
+  EXPECT_TRUE(lost.IsUnavailable()) << lost.ToString();
+  ws.link0.drop_replies = false;
+  EXPECT_EQ(plane.shards[0].tm->locks().DerivationHolder(input), da);
+  EXPECT_EQ(*plane.shards[0].tm->DaOfDop(*dop), da);
+
+  // The 2PC End-of-DOP still reaches shard 0 and frees the lock there.
+  ASSERT_TRUE(tm.CommitDop(*dop).ok());
+  EXPECT_EQ(tm.two_pc_stats().multi_node_protocols, 1u);
+  EXPECT_EQ(tm.stats().cross_shard_interactions, 1u);
+  EXPECT_FALSE(plane.shards[0].tm->locks().DerivationHolder(input).valid());
+  EXPECT_TRUE(plane.shards[0].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_TRUE(plane.shards[1].tm->DaOfDop(*dop).status().IsNotFound());
+  EXPECT_EQ(*tm.StateOf(*dop), DopState::kCommitted);
+}
+
+TEST(MultiServerPlaneTest, CheckinReExecutedAfterRestartCommitsOnce) {
+  Plane plane(2);
+  DaId da(10);
+  ASSERT_TRUE(plane.placement.Assign(da, plane.shards[0].node).ok());
+  FlakyWorkstation ws(plane);
+  auto dop = ws.tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+
+  // The checkin+commit envelope commits, the server restarts before
+  // replying, and the re-sent envelope runs again on the new
+  // incarnation. The registration travelled in an envelope of its own,
+  // so the re-run checkin finds none and is refused.
+  ws.link0.restart_on_checkin = true;
+  auto dov = ws.tm.CheckinCommit(*dop, plane.MakeObject(7), {});
+  EXPECT_FALSE(ws.link0.restart_on_checkin);
+  EXPECT_TRUE(dov.status().IsNotFound()) << dov.status().ToString();
+  EXPECT_EQ(plane.shards[0].repo->DovsOf(da).size(), 1u);
 }
 
 TEST(MultiServerPlaneTest, ReadOnlyReleaseRetriesOnlyTheDownNode) {

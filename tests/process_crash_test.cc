@@ -95,7 +95,9 @@ std::set<int64_t> ParseValues(const std::vector<std::string>& lines,
 }
 
 /// Values visible in shard `home`'s repository for `da`, via the
-/// admin/dump_da endpoint ("<dov> <value>" lines). Calls to one server
+/// admin/dump_da endpoint ("<dov> <value>" lines). Every attempt checks
+/// in a value of its own, so a value held by two DOVs is an envelope
+/// that committed twice: that fails the test. Calls to one server
 /// incarnation need distinct `client_id`s: each client process numbers
 /// its calls from 1, and the server answers a repeated (client, call)
 /// from its at-most-once table.
@@ -114,7 +116,11 @@ std::set<int64_t> DumpValues(const std::vector<std::string>& servers,
     std::istringstream fields(line);
     uint64_t dov;
     int64_t value;
-    if (fields >> dov >> value) out.insert(value);
+    if (fields >> dov >> value) {
+      EXPECT_TRUE(out.insert(value).second)
+          << "value " << value << " of DA " << da
+          << " appears in more than one DOV (again in " << dov << ")";
+    }
   }
   return out;
 }

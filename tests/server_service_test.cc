@@ -231,7 +231,9 @@ TEST_F(ServerServiceTest, BatchedCheckinCommitSavesARoundTrip) {
   calls_before = rpc_.stats().calls;
   auto out2 = client_->CheckinCommit(*dop2, MakeObj(7), {});
   ASSERT_TRUE(out2.ok());
-  EXPECT_EQ(rpc_.stats().calls, calls_before + 2);  // checkin, then commit
+  // The registration (it never rides a checkin), the checkin, then
+  // the commit.
+  EXPECT_EQ(rpc_.stats().calls, calls_before + 3);
   EXPECT_EQ(server_->stats().dops_committed, 2u);
 }
 

@@ -37,10 +37,9 @@ TEST(SystemTest, FullDesignPlaneTraversalReachesFinalDov) {
   NodeId ws = (*system.cm().GetDa(*da))->workstation;
   EXPECT_EQ(system.client_tm(ws).stats().checkouts_from_cache, 4u);
   EXPECT_EQ(system.client_tm(ws).stats().checkin_cache_inserts, 5u);
-  // All TM traffic rode the RPC envelope: Begin-of-DOP is local and
-  // its registration rides the batched checkin/commit, so 5 DOPs x 1
-  // envelope = 5 server round trips.
-  EXPECT_EQ(system.rpc().stats().calls, 5u);
+  // All TM traffic rode the RPC envelope: 5 DOPs x (begin +
+  // batched checkin/commit) = 10 server round trips.
+  EXPECT_EQ(system.rpc().stats().calls, 10u);
   EXPECT_EQ(system.client_tm(ws).stats().batched_checkin_commits, 5u);
   // Simulated time advanced (tools cost work).
   EXPECT_GT(system.clock().Now(), 0);

@@ -327,12 +327,12 @@ TEST_F(TmTest, TwoPcRunsPerCriticalInteraction) {
   auto dop = client_->BeginDop(DaId(1));
   // Begin-of-DOP is local: no interaction with the server yet.
   EXPECT_EQ(client_->two_pc_stats().protocols_run, 0u);
-  // The checkin (carrying the registration) and the commit are one
-  // protocol run each.
+  // The registration (sent ahead of the checkin, never inside it),
+  // the checkin and the commit are one protocol run each.
   ASSERT_TRUE(client_->Checkin(*dop, MakeObj(1), {}).ok());
   ASSERT_TRUE(client_->CommitDop(*dop).ok());
-  EXPECT_EQ(client_->two_pc_stats().protocols_run, 2u);
-  EXPECT_EQ(client_->two_pc_stats().committed, 2u);
+  EXPECT_EQ(client_->two_pc_stats().protocols_run, 3u);
+  EXPECT_EQ(client_->two_pc_stats().committed, 3u);
 }
 
 TEST_F(TmTest, ScopeAuthorityDenialBlocksCheckout) {
